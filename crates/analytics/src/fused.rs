@@ -9,14 +9,17 @@
 //! [`crate::workers`] and [`crate::design`] *shape* their outputs from the
 //! cached [`Fused`] result (held in a `OnceLock` on [`Study`]).
 //!
-//! ## Determinism
+//! ## Determinism and layout
 //!
 //! The engine inherits the `ScanPass` contract: fixed-size chunks folded
-//! in row order, merged sequentially in chunk order — so every float sum
-//! here is bit-identical at any thread count. All keyed state uses
-//! `BTreeMap`/`BTreeSet` so shaping iterates in a process-independent
-//! order (a `HashMap`'s random seed must never decide the order in which
-//! floats are added or rows are exported).
+//! in row order, merged sequentially in chunk order. The accumulator's
+//! state is the compact, row-bounded layout of the `compact` module
+//! (shared with the live view, DESIGN.md §11): rows fold into dense per-entity vectors, 32-bit
+//! piles and counts, while every float is summed per chunk and added in
+//! chunk order — so every output is bit-identical at any thread or shard
+//! count, and to the tree-based accumulator this layout replaced. Keyed
+//! outputs iterate in ascending key order (a `HashMap`'s random seed must
+//! never decide the order in which floats are added or rows are exported).
 //!
 //! The raw aggregate types here are public so that `crowd-testkit` can
 //! compare the fused engine field-by-field against straight-line oracle
@@ -24,12 +27,13 @@
 //! keep consuming the shaped outputs in [`crate::marketplace`],
 //! [`crate::workers`] and [`crate::design`] instead.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crowd_core::prelude::*;
-use crowd_stats::descriptive::median;
 
+use crate::compact::{add_floats, EntitySizes, Floats, Row, State, Weeks};
+pub use crate::compact::{Intervals, ItemCounts};
 use crate::design::metrics::LatencyPoint;
 use crate::study::Study;
 
@@ -61,45 +65,30 @@ pub struct WorkerAgg {
     pub first_day: i64,
     /// Day number of the last activity.
     pub last_day: i64,
-    /// Distinct active day numbers.
-    pub days: BTreeSet<i64>,
-    /// Distinct active months (see [`month_index`]).
-    pub months: BTreeSet<i32>,
+    /// Distinct active day numbers, ascending.
+    pub days: Vec<i64>,
+    /// Distinct active months (see [`month_index`]), ascending.
+    pub months: Vec<i32>,
     /// `(start, end)` of every instance, in row order (for sessions).
-    pub intervals: Vec<(Timestamp, Timestamp)>,
-    /// Per-week activity, keyed by week offset from the dataset's first
-    /// week (clamped like the availability figures).
-    pub weeks: BTreeMap<usize, WeekCell>,
+    pub intervals: Intervals,
+    /// Per-week activity, ascending by week offset from the dataset's
+    /// first week (clamped like the availability figures).
+    pub weeks: Vec<(usize, WeekCell)>,
 }
 
 impl WorkerAgg {
-    pub(crate) fn new() -> WorkerAgg {
+    /// An empty aggregate whose interval offsets count from `origin`.
+    pub(crate) fn new(origin: Timestamp) -> WorkerAgg {
         WorkerAgg {
             tasks: 0,
             work_secs: 0.0,
             trust_sum: 0.0,
             first_day: i64::MAX,
             last_day: i64::MIN,
-            days: BTreeSet::new(),
-            months: BTreeSet::new(),
-            intervals: Vec::new(),
-            weeks: BTreeMap::new(),
-        }
-    }
-
-    pub(crate) fn absorb(&mut self, o: WorkerAgg) {
-        self.tasks += o.tasks;
-        self.work_secs += o.work_secs;
-        self.trust_sum += o.trust_sum;
-        self.first_day = self.first_day.min(o.first_day);
-        self.last_day = self.last_day.max(o.last_day);
-        self.days.extend(o.days);
-        self.months.extend(o.months);
-        self.intervals.extend(o.intervals);
-        for (wk, cell) in o.weeks {
-            let mine = self.weeks.entry(wk).or_default();
-            mine.tasks += cell.tasks;
-            mine.hours += cell.hours;
+            days: Vec::new(),
+            months: Vec::new(),
+            intervals: Intervals::new(origin),
+            weeks: Vec::new(),
         }
     }
 }
@@ -119,7 +108,7 @@ pub struct SourceAgg {
 
 /// Everything the analytics layer needs from the instance table, gathered
 /// in one scan and cached on the [`Study`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Fused {
     /// First week index of the dataset (0 when empty).
     pub w0: i32,
@@ -142,7 +131,7 @@ pub struct Fused {
     /// Fig 13b instance-level latency points, one per end-to-end splice.
     pub instance_latency: Vec<LatencyPoint>,
     /// Judgments per `(batch, item)`.
-    pub per_item: BTreeMap<(u32, u32), u32>,
+    pub per_item: ItemCounts,
 }
 
 impl Fused {
@@ -154,47 +143,80 @@ impl Fused {
     }
 }
 
-/// The composite accumulator feeding [`Fused`] from one [`ScanPass`].
-struct FusedAcc {
-    // -- configuration (copied into every chunk's working copy) ----------
+/// Scan configuration shared by the total and every chunk partial.
+struct Config {
     w0: i32,
     n_weeks: usize,
+    /// Interval offsets count from here (the dataset's first timestamp).
+    origin: Timestamp,
+    /// Entity table sizes the dense state is indexed by.
+    sizes: EntitySizes,
     /// Median task time per batch (`None` for unsampled batches), indexed
     /// by batch id.
-    batch_median: Arc<Vec<Option<f64>>>,
-    // -- state -----------------------------------------------------------
-    workers: BTreeMap<u32, WorkerAgg>,
-    sources: BTreeMap<u32, SourceAgg>,
-    issued: Vec<u64>,
-    completed: Vec<u64>,
-    pickups: Vec<Vec<f64>>,
-    weekday: [u64; 7],
-    per_day: BTreeMap<i64, u64>,
-    /// Per half-decade log-splice: (pickup secs, task secs) piles.
-    buckets: BTreeMap<i32, (Vec<f64>, Vec<f64>)>,
-    per_item: BTreeMap<(u32, u32), u32>,
+    batch_median: Vec<Option<f64>>,
+}
+
+impl Config {
+    /// The week window runs from the first batch's week to `t1`'s.
+    fn new<'a>(
+        ds: &Dataset,
+        t1: Option<Timestamp>,
+        batches: impl IntoIterator<Item = &'a crate::study::BatchMetrics>,
+    ) -> Config {
+        let (w0, n_weeks) = match (ds.time_min(), t1) {
+            (Some(t0), Some(t1)) => (t0.week().0, (t1.week().0 - t0.week().0 + 1).max(0) as usize),
+            _ => (0, 0),
+        };
+        let mut batch_median: Vec<Option<f64>> = vec![None; ds.batches.len()];
+        for m in batches {
+            if let Some(t) = m.task_time {
+                batch_median[m.batch.index()] = Some(t);
+            }
+        }
+        let origin = ds.time_min().unwrap_or_default();
+        Config { w0, n_weeks, origin, sizes: EntitySizes::of(ds), batch_median }
+    }
+
+    fn weeks(&self) -> Weeks {
+        Weeks::Clamped { w0: self.w0, n: self.n_weeks }
+    }
+}
+
+/// The composite accumulator feeding [`Fused`] from one [`ScanPass`]. A
+/// chunk partial carries only its derived rows and their chunk-grouped
+/// float sums (both computed on the thread that folded the chunk); the
+/// running total carries the compact [`State`] they merge into.
+struct FusedAcc {
+    cfg: Arc<Config>,
+    /// Rows folded since the last merge.
+    rows: Vec<Row>,
+    /// `rows`' float sums, when already computed.
+    floats: Option<Floats>,
+    /// The running total; `None` until the first merge.
+    state: Option<Box<State>>,
 }
 
 impl FusedAcc {
-    fn proto(w0: i32, n_weeks: usize, batch_median: Arc<Vec<Option<f64>>>) -> FusedAcc {
-        FusedAcc {
-            w0,
-            n_weeks,
-            batch_median,
-            workers: BTreeMap::new(),
-            sources: BTreeMap::new(),
-            issued: vec![0; n_weeks],
-            completed: vec![0; n_weeks],
-            pickups: vec![Vec::new(); n_weeks],
-            weekday: [0; 7],
-            per_day: BTreeMap::new(),
-            buckets: BTreeMap::new(),
-            per_item: BTreeMap::new(),
-        }
+    fn proto(cfg: Config) -> FusedAcc {
+        FusedAcc { cfg: Arc::new(cfg), rows: Vec::new(), floats: None, state: None }
     }
 
-    fn week_of(&self, t: Timestamp) -> usize {
-        ((t.week().0 - self.w0).max(0) as usize).min(self.n_weeks - 1)
+    /// Folds `rows` (one float group) into the running total.
+    fn absorb(&mut self, rows: &[Row], floats: Option<Floats>) {
+        let floats = floats.unwrap_or_else(|| Floats::of(rows, Some(&self.cfg.batch_median)));
+        let cfg = &self.cfg;
+        let state = self.state.get_or_insert_with(|| Box::new(State::new(cfg.sizes, cfg.origin)));
+        state.absorb(rows);
+        add_floats(&mut state.workers, &mut state.sources, &floats);
+    }
+
+    /// Absorbs this accumulator's own pending rows.
+    fn flush(&mut self) {
+        if !self.rows.is_empty() {
+            let rows = std::mem::take(&mut self.rows);
+            let floats = self.floats.take();
+            self.absorb(&rows, floats);
+        }
     }
 }
 
@@ -202,79 +224,17 @@ impl Accumulator for FusedAcc {
     type Output = Fused;
 
     fn init(&self) -> Self {
-        FusedAcc::proto(self.w0, self.n_weeks, Arc::clone(&self.batch_median))
+        FusedAcc { cfg: Arc::clone(&self.cfg), rows: Vec::new(), floats: None, state: None }
     }
 
     fn accept(&mut self, ds: &Dataset, _id: InstanceId, row: InstanceRef<'_>) {
-        let created = ds.batch(row.batch).created_at;
-        let work_secs = row.work_time().as_secs() as f64;
-        let pickup = (row.start - created).as_secs() as f64;
-        let day = row.start.day_number();
-
-        // ---- per worker -------------------------------------------------
-        let w = self.workers.entry(row.worker.raw()).or_insert_with(WorkerAgg::new);
-        w.tasks += 1;
-        w.work_secs += work_secs;
-        w.trust_sum += f64::from(row.trust);
-        w.first_day = w.first_day.min(day);
-        w.last_day = w.last_day.max(day);
-        w.days.insert(day);
-        w.months.insert(month_index(row.start));
-        w.intervals.push((row.start, row.end));
-        if self.n_weeks > 0 {
-            let wk = ((row.start.week().0 - self.w0).max(0) as usize).min(self.n_weeks - 1);
-            let cell = w.weeks.entry(wk).or_default();
-            cell.tasks += 1;
-            cell.hours += row.work_time().as_hours_f64();
-        }
-
-        // ---- per source -------------------------------------------------
-        let src = ds.worker(row.worker).source;
-        let s = self.sources.entry(src.raw()).or_default();
-        s.n_tasks += 1;
-        s.trust_sum += f64::from(row.trust);
-        if let Some(med) = self.batch_median[row.batch.index()] {
-            if med > 0.0 {
-                s.rel_time_sum += work_secs / med;
-                s.rel_time_n += 1;
-            }
-        }
-
-        // ---- arrival / load series --------------------------------------
-        if self.n_weeks > 0 {
-            let wi = self.week_of(created);
-            let wc = self.week_of(row.end);
-            self.issued[wi] += 1;
-            self.completed[wc] += 1;
-            self.pickups[wi].push(pickup);
-        }
-        self.weekday[created.weekday().index()] += 1;
-        *self.per_day.entry(created.day_number()).or_insert(0) += 1;
-
-        // ---- latency decomposition (Fig 13b) ----------------------------
-        let p = pickup.max(1.0);
-        let task = row.work_time().as_secs().max(1) as f64;
-        let splice = (2.0 * (p + task).log10()).floor() as i32;
-        let bucket = self.buckets.entry(splice).or_default();
-        bucket.0.push(p);
-        bucket.1.push(task);
-
-        // ---- redundancy -------------------------------------------------
-        *self.per_item.entry((row.batch.raw(), row.item.raw())).or_insert(0) += 1;
+        self.rows.push(Row::of(ds, self.cfg.weeks(), row));
+        self.floats = None;
     }
 
     /// Columnar form of [`FusedAcc::accept`], called once per ≤ 8192-row
-    /// chunk: derived per-row values (batch creation time, work seconds,
-    /// pickup, clamped week indices, log-splice) are precomputed in tight
-    /// straight-line loops over the column slices, then each state family
-    /// is updated in its own ascending-row sub-loop.
-    ///
-    /// Bit-identity with the row loop: the families (per-worker map,
-    /// per-source map, weekly series, weekday histogram, per-day counts,
-    /// latency buckets, per-item counts) write disjoint state, and every
-    /// sub-loop walks rows in ascending order — so each float accumulator
-    /// receives exactly the values `accept` would feed it, in the same
-    /// order.
+    /// chunk: derives the chunk's rows and sums its float families on the
+    /// folding thread, so the in-order merge only appends and adds.
     fn accept_chunk(
         &mut self,
         ds: &Dataset,
@@ -282,185 +242,36 @@ impl Accumulator for FusedAcc {
         cols: &InstanceColumns,
         range: std::ops::Range<usize>,
     ) {
-        let batches = &cols.batch_col()[range.clone()];
-        let items = &cols.item_col()[range.clone()];
-        let workers = &cols.worker_col()[range.clone()];
-        let starts = &cols.start_col()[range.clone()];
-        let ends = &cols.end_col()[range.clone()];
-        let trusts = &cols.trust_col()[range];
-        let n = batches.len();
-
-        // ---- columnar precompute ----------------------------------------
-        let created: Vec<Timestamp> = batches.iter().map(|&b| ds.batch(b).created_at).collect();
-        let work_secs: Vec<f64> =
-            starts.iter().zip(ends).map(|(&s, &e)| (e - s).as_secs() as f64).collect();
-        let pickup: Vec<f64> =
-            starts.iter().zip(&created).map(|(&s, &c)| (s - c).as_secs() as f64).collect();
-        let day: Vec<i64> = starts.iter().map(|s| s.day_number()).collect();
-        let src: Vec<u32> = workers.iter().map(|&w| ds.worker(w).source.raw()).collect();
-        let (wk, wi, wc): (Vec<usize>, Vec<usize>, Vec<usize>) = if self.n_weeks > 0 {
-            (
-                starts.iter().map(|&t| self.week_of(t)).collect(),
-                created.iter().map(|&t| self.week_of(t)).collect(),
-                ends.iter().map(|&t| self.week_of(t)).collect(),
-            )
-        } else {
-            (Vec::new(), Vec::new(), Vec::new())
-        };
-        let splice: Vec<i32> = pickup
-            .iter()
-            .zip(&work_secs)
-            .map(|(&pk, &ws)| {
-                let p = pk.max(1.0);
-                let task = ws.max(1.0);
-                (2.0 * (p + task).log10()).floor() as i32
-            })
-            .collect();
-
-        // ---- per worker -------------------------------------------------
-        for i in 0..n {
-            let w = self.workers.entry(workers[i].raw()).or_insert_with(WorkerAgg::new);
-            w.tasks += 1;
-            w.work_secs += work_secs[i];
-            w.trust_sum += f64::from(trusts[i]);
-            w.first_day = w.first_day.min(day[i]);
-            w.last_day = w.last_day.max(day[i]);
-            w.days.insert(day[i]);
-            w.months.insert(month_index(starts[i]));
-            w.intervals.push((starts[i], ends[i]));
-            if self.n_weeks > 0 {
-                let cell = w.weeks.entry(wk[i]).or_default();
-                cell.tasks += 1;
-                cell.hours += (ends[i] - starts[i]).as_hours_f64();
-            }
-        }
-
-        // ---- per source -------------------------------------------------
-        for i in 0..n {
-            let s = self.sources.entry(src[i]).or_default();
-            s.n_tasks += 1;
-            s.trust_sum += f64::from(trusts[i]);
-            if let Some(med) = self.batch_median[batches[i].index()] {
-                if med > 0.0 {
-                    s.rel_time_sum += work_secs[i] / med;
-                    s.rel_time_n += 1;
-                }
-            }
-        }
-
-        // ---- arrival / load series --------------------------------------
-        if self.n_weeks > 0 {
-            for i in 0..n {
-                self.issued[wi[i]] += 1;
-                self.completed[wc[i]] += 1;
-                self.pickups[wi[i]].push(pickup[i]);
-            }
-        }
-        for &c in &created {
-            self.weekday[c.weekday().index()] += 1;
-        }
-        for &c in &created {
-            *self.per_day.entry(c.day_number()).or_insert(0) += 1;
-        }
-
-        // ---- latency decomposition (Fig 13b) ----------------------------
-        for i in 0..n {
-            let bucket = self.buckets.entry(splice[i]).or_default();
-            bucket.0.push(pickup[i].max(1.0));
-            bucket.1.push(work_secs[i].max(1.0));
-        }
-
-        // ---- redundancy -------------------------------------------------
-        for i in 0..n {
-            *self.per_item.entry((batches[i].raw(), items[i].raw())).or_insert(0) += 1;
-        }
+        Row::derive(ds, self.cfg.weeks(), cols, range, &mut self.rows);
+        self.floats = Some(Floats::of(&self.rows, Some(&self.cfg.batch_median)));
     }
 
+    /// Merges a chunk partial (rows and float sums only, no state) — the
+    /// only kind the scan engine produces.
     fn merge(&mut self, other: Self) {
-        for (k, v) in other.workers {
-            match self.workers.entry(k) {
-                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().absorb(v),
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(v);
-                }
-            }
-        }
-        for (k, v) in other.sources {
-            let mine = self.sources.entry(k).or_default();
-            mine.n_tasks += v.n_tasks;
-            mine.trust_sum += v.trust_sum;
-            mine.rel_time_sum += v.rel_time_sum;
-            mine.rel_time_n += v.rel_time_n;
-        }
-        for (mine, theirs) in self.issued.iter_mut().zip(other.issued) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.completed.iter_mut().zip(other.completed) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.pickups.iter_mut().zip(other.pickups) {
-            mine.extend(theirs);
-        }
-        for (mine, theirs) in self.weekday.iter_mut().zip(other.weekday) {
-            *mine += theirs;
-        }
-        for (d, c) in other.per_day {
-            *self.per_day.entry(d).or_insert(0) += c;
-        }
-        for (splice, (pickups, tasks)) in other.buckets {
-            let mine = self.buckets.entry(splice).or_default();
-            mine.0.extend(pickups);
-            mine.1.extend(tasks);
-        }
-        for (key, c) in other.per_item {
-            *self.per_item.entry(key).or_insert(0) += c;
-        }
+        assert!(other.state.is_none(), "FusedAcc merges chunk partials only");
+        self.flush();
+        self.absorb(&other.rows, other.floats);
     }
 
-    fn finish(self, _ds: &Dataset) -> Fused {
-        let median_pickup = self.pickups.iter().map(|pile| median(pile)).collect();
-        let instance_latency = self
-            .buckets
-            .into_iter()
-            .filter_map(|(splice, (pickups, tasks))| {
-                let e2e = 10f64.powf(f64::from(splice) / 2.0 + 0.25);
-                Some(LatencyPoint {
-                    end_to_end: e2e,
-                    pickup: median(&pickups)?,
-                    task: median(&tasks)?,
-                })
-            })
-            .collect();
-        Fused {
-            w0: self.w0,
-            n_weeks: self.n_weeks,
-            workers: self.workers,
-            sources: self.sources,
-            issued: self.issued,
-            completed: self.completed,
-            median_pickup,
-            weekday: self.weekday,
-            per_day: self.per_day,
-            instance_latency,
-            per_item: self.per_item,
-        }
+    fn finish(mut self, ds: &Dataset) -> Fused {
+        self.flush();
+        let cfg = Arc::clone(&self.cfg);
+        let mut state = match self.state.take() {
+            Some(state) => *state,
+            None => State::new(cfg.sizes, cfg.origin),
+        };
+        let workers = std::mem::take(&mut state.workers);
+        let sources = std::mem::take(&mut state.sources);
+        let per_item = std::mem::take(&mut state.per_item);
+        state.shape(ds, cfg.weeks(), cfg.n_weeks, workers, sources, per_item)
     }
 }
 
 /// Runs the fused pass for a study. Called once per `Study` (memoized).
 pub fn compute(study: &Study) -> Fused {
     let ds = study.dataset();
-    let (w0, n_weeks) = match (ds.time_min(), ds.time_max()) {
-        (Some(t0), Some(t1)) => (t0.week().0, (t1.week().0 - t0.week().0 + 1).max(0) as usize),
-        _ => (0, 0),
-    };
-    let mut batch_median: Vec<Option<f64>> = vec![None; ds.batches.len()];
-    for m in study.enriched_batches() {
-        if let Some(t) = m.task_time {
-            batch_median[m.batch.index()] = Some(t);
-        }
-    }
-    let proto = FusedAcc::proto(w0, n_weeks, Arc::new(batch_median));
+    let proto = FusedAcc::proto(Config::new(ds, ds.time_max(), study.enriched_batches()));
     // Shard-partitioned fused pass: with the default single shard this is
     // exactly `ScanPass::run`; under `--shards N` each shard's chunk
     // partials merge into the running total in global chunk order, so the
@@ -485,17 +296,7 @@ pub fn compute_streamed<E>(
     shards: impl Iterator<Item = std::result::Result<(usize, InstanceColumns), E>>,
 ) -> std::result::Result<Fused, E> {
     let t1 = [time_max, ds.time_max()].into_iter().flatten().max();
-    let (w0, n_weeks) = match (ds.time_min(), t1) {
-        (Some(t0), Some(t1)) => (t0.week().0, (t1.week().0 - t0.week().0 + 1).max(0) as usize),
-        _ => (0, 0),
-    };
-    let mut batch_median: Vec<Option<f64>> = vec![None; ds.batches.len()];
-    for m in batch_metrics {
-        if let Some(t) = m.task_time {
-            batch_median[m.batch.index()] = Some(t);
-        }
-    }
-    let proto = FusedAcc::proto(w0, n_weeks, Arc::new(batch_median));
+    let proto = FusedAcc::proto(Config::new(ds, t1, batch_metrics));
     ScanPass::run_stream(ds, &proto, shards)
 }
 
@@ -520,7 +321,7 @@ mod tests {
         assert_eq!(f.completed.iter().sum::<u64>(), n);
         assert_eq!(f.weekday.iter().sum::<u64>(), n);
         assert_eq!(f.per_day.values().sum::<u64>(), n);
-        assert_eq!(f.per_item.values().map(|&c| u64::from(c)).sum::<u64>(), n);
+        assert_eq!(f.per_item.values().map(u64::from).sum::<u64>(), n);
         let intervals: usize = f.workers.values().map(|w| w.intervals.len()).sum();
         assert_eq!(intervals, ds.instances.len());
     }
@@ -535,7 +336,7 @@ mod tests {
             assert!(agg.days.len() as u64 <= agg.tasks);
             assert!(!agg.months.is_empty());
             assert_eq!(agg.intervals.len() as u64, agg.tasks);
-            assert_eq!(agg.weeks.values().map(|c| c.tasks).sum::<u64>(), agg.tasks);
+            assert_eq!(agg.weeks.iter().map(|(_, c)| c.tasks).sum::<u64>(), agg.tasks);
         }
     }
 }

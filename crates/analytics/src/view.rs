@@ -11,11 +11,15 @@
 //! (same entities, same rows, same order). The mechanics that make this
 //! hold:
 //!
-//! * **Chunk discipline.** Rows fold into [`ScanPass::CHUNK`]-sized
-//!   accumulators merged in chunk order, exactly like the batch scan. The
-//!   view keeps a merged prefix of *full* chunks plus a sub-chunk tail;
-//!   each publish re-folds only the tail and merges it last, so every
-//!   float sum reproduces the batch fold's rounding bit-for-bit.
+//! * **Chunk discipline.** The view shares the batch scan's compact state
+//!   (the `compact` module, DESIGN.md §11). A row's integer families
+//!   (counts, sets, intervals, piles) fold into that state the moment it
+//!   arrives — they are exact under any grouping. Its float families are
+//!   summed per [`ScanPass::CHUNK`] in row order and added to the state
+//!   when the chunk fills, in chunk order; the open chunk's sums are
+//!   re-derived at each publish (≤ one chunk of rows) and added to the
+//!   snapshot's copy only. Every float therefore reproduces the batch
+//!   fold's rounding bit-for-bit.
 //! * **Unclamped week keys.** The batch accumulator clamps week offsets
 //!   into `[0, n_weeks)`, but `n_weeks` is derived from the dataset's own
 //!   time span — the upper clamp never binds (every timestamp is ≤
@@ -26,11 +30,14 @@
 //!   vectors at publish time, when the prefix's true span is known.
 //! * **Publish-time enrichment.** `rel_time_sum` depends on per-batch
 //!   median task times, which shift as rows arrive. The view keeps
-//!   integer-exact per-`(source, batch)` work sums plus per-sampled-batch
-//!   work-time piles, and recomputes medians + ratios at publish — medians
-//!   of identical multisets are bit-identical (the shared sort-based
-//!   [`median`]), and regrouping the positive ratio sum stays within the
-//!   testkit ulp bound.
+//!   integer-exact per-`(batch, source)` work sums plus per-sampled-batch
+//!   work-time piles, and at publish re-takes the median of only the
+//!   batches that received rows since — medians of identical multisets
+//!   are bit-identical to the sort-based `median` — and regroups the
+//!   positive ratio sums, which stays within the testkit ulp bound.
+//! * **Publish copies only the snapshot.** Medians select in place on the
+//!   writer-owned piles; a publish clones the per-worker aggregates and
+//!   item counts the snapshot keeps, nothing else.
 //!
 //! ## Concurrency
 //!
@@ -40,14 +47,12 @@
 //! so a reader always observes exactly one fully-formed version — never a
 //! torn mix — and versions are monotone.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
 use crowd_core::prelude::*;
-use crowd_stats::descriptive::median;
 
-use crate::design::metrics::LatencyPoint;
-use crate::fused::{month_index, Fused, SourceAgg, WorkerAgg};
+use crate::compact::{add_floats, EntitySizes, Floats, Pile, Row, State, Weeks};
+use crate::fused::{Fused, SourceAgg};
 
 /// One published, immutable state of the view.
 #[derive(Debug)]
@@ -81,244 +86,76 @@ impl ViewHandle {
     }
 }
 
-/// Per-source running totals (the incrementally maintainable half of
-/// [`SourceAgg`]; `rel_time_*` is derived at publish).
-#[derive(Debug, Clone, Copy, Default)]
-struct SourceCore {
-    n_tasks: u64,
-    trust_sum: f64,
+/// Publish-time relative-speed inputs, dense by batch id (entries stay
+/// empty for unsampled batches).
+struct RelTime {
+    /// Work-seconds pile per sampled batch — the multiset its publish-time
+    /// median is taken from.
+    piles: Vec<Pile>,
+    /// `(source, work-seconds sum, rows)` per sampled batch, ascending
+    /// source. Work seconds are integer-valued, so the sums are exact.
+    sums: Vec<Vec<(u32, f64, u64)>>,
+    /// Each batch's median as of the last publish.
+    medians: Vec<Option<f64>>,
+    /// Batches that received rows since the last publish, and their flags.
+    dirty: Vec<usize>,
+    marked: Vec<bool>,
 }
 
-/// The delta accumulator: [`crate::fused::Fused`]'s raw state with
-/// unclamped week keys and publish-deferred enrichment (see module docs).
-#[derive(Debug, Clone, Default)]
-struct LiveAcc {
-    workers: BTreeMap<u32, WorkerAgg>,
-    sources: BTreeMap<u32, SourceCore>,
-    /// `(source, batch)` → (work-seconds sum, rows); sampled batches only.
-    /// Work seconds are integer-valued, so the sum is order-exact.
-    src_batch: BTreeMap<(u32, u32), (f64, u64)>,
-    /// Work-time pile per sampled batch, in row order — the multiset the
-    /// publish-time batch median is computed from.
-    batch_times: BTreeMap<u32, Vec<f64>>,
-    /// Keyed by unclamped week offset (grown on demand).
-    issued: Vec<u64>,
-    completed: Vec<u64>,
-    pickups: Vec<Vec<f64>>,
-    weekday: [u64; 7],
-    per_day: BTreeMap<i64, u64>,
-    buckets: BTreeMap<i32, (Vec<f64>, Vec<f64>)>,
-    per_item: BTreeMap<(u32, u32), u32>,
-    /// Largest end-time week seen (raw week index, not offset) — the
-    /// stream-side contribution to the publish-time week window.
-    max_end_week: Option<i32>,
-}
-
-fn bump(v: &mut Vec<u64>, i: usize) {
-    if v.len() <= i {
-        v.resize(i + 1, 0);
-    }
-    v[i] += 1;
-}
-
-impl LiveAcc {
-    /// Mirrors [`crate::fused::FusedAcc::accept`] minus the week clamp and
-    /// the batch-median lookup; any drift between the two is exactly what
-    /// the differential suite pins.
-    fn accept(&mut self, entities: &Dataset, w0: i32, row: InstanceRef<'_>) {
-        let created = entities.batch(row.batch).created_at;
-        let work_secs = row.work_time().as_secs() as f64;
-        let pickup = (row.start - created).as_secs() as f64;
-        let day = row.start.day_number();
-        let week_off = |t: Timestamp| (t.week().0 - w0).max(0) as usize;
-
-        // ---- per worker -------------------------------------------------
-        let w = self.workers.entry(row.worker.raw()).or_insert_with(WorkerAgg::new);
-        w.tasks += 1;
-        w.work_secs += work_secs;
-        w.trust_sum += f64::from(row.trust);
-        w.first_day = w.first_day.min(day);
-        w.last_day = w.last_day.max(day);
-        w.days.insert(day);
-        w.months.insert(month_index(row.start));
-        w.intervals.push((row.start, row.end));
-        let cell = w.weeks.entry(week_off(row.start)).or_default();
-        cell.tasks += 1;
-        cell.hours += row.work_time().as_hours_f64();
-
-        // ---- per source -------------------------------------------------
-        let src = entities.worker(row.worker).source;
-        let s = self.sources.entry(src.raw()).or_default();
-        s.n_tasks += 1;
-        s.trust_sum += f64::from(row.trust);
-        if entities.batch(row.batch).sampled {
-            let rel = self.src_batch.entry((src.raw(), row.batch.raw())).or_default();
-            rel.0 += work_secs;
-            rel.1 += 1;
-            self.batch_times.entry(row.batch.raw()).or_default().push(work_secs);
+impl RelTime {
+    fn new(batches: usize) -> RelTime {
+        RelTime {
+            piles: vec![Pile::default(); batches],
+            sums: vec![Vec::new(); batches],
+            medians: vec![None; batches],
+            dirty: Vec::new(),
+            marked: vec![false; batches],
         }
-
-        // ---- arrival / load series --------------------------------------
-        bump(&mut self.issued, week_off(created));
-        bump(&mut self.completed, week_off(row.end));
-        let wi = week_off(created);
-        if self.pickups.len() <= wi {
-            self.pickups.resize(wi + 1, Vec::new());
-        }
-        self.pickups[wi].push(pickup);
-        self.weekday[created.weekday().index()] += 1;
-        *self.per_day.entry(created.day_number()).or_insert(0) += 1;
-
-        // ---- latency decomposition (Fig 13b) ----------------------------
-        let p = pickup.max(1.0);
-        let task = row.work_time().as_secs().max(1) as f64;
-        let splice = (2.0 * (p + task).log10()).floor() as i32;
-        let bucket = self.buckets.entry(splice).or_default();
-        bucket.0.push(p);
-        bucket.1.push(task);
-
-        // ---- redundancy -------------------------------------------------
-        *self.per_item.entry((row.batch.raw(), row.item.raw())).or_insert(0) += 1;
-
-        let ew = row.end.week().0;
-        self.max_end_week = Some(self.max_end_week.map_or(ew, |m| m.max(ew)));
     }
 
-    /// Mirrors [`crate::fused::FusedAcc::merge`]; `other` is the later
-    /// chunk, so its piles extend after `self`'s (row order preserved).
-    fn merge(&mut self, other: LiveAcc) {
-        for (k, v) in other.workers {
-            match self.workers.entry(k) {
-                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().absorb(v),
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(v);
-                }
+    fn absorb(&mut self, entities: &Dataset, delta: &InstanceColumns) {
+        for row in delta.iter() {
+            if !entities.batch(row.batch).sampled {
+                continue;
             }
-        }
-        for (k, v) in other.sources {
-            let mine = self.sources.entry(k).or_default();
-            mine.n_tasks += v.n_tasks;
-            mine.trust_sum += v.trust_sum;
-        }
-        for (k, (sum, n)) in other.src_batch {
-            let mine = self.src_batch.entry(k).or_default();
-            mine.0 += sum;
-            mine.1 += n;
-        }
-        for (b, pile) in other.batch_times {
-            self.batch_times.entry(b).or_default().extend(pile);
-        }
-        if self.issued.len() < other.issued.len() {
-            self.issued.resize(other.issued.len(), 0);
-        }
-        for (i, c) in other.issued.into_iter().enumerate() {
-            self.issued[i] += c;
-        }
-        if self.completed.len() < other.completed.len() {
-            self.completed.resize(other.completed.len(), 0);
-        }
-        for (i, c) in other.completed.into_iter().enumerate() {
-            self.completed[i] += c;
-        }
-        if self.pickups.len() < other.pickups.len() {
-            self.pickups.resize(other.pickups.len(), Vec::new());
-        }
-        for (i, pile) in other.pickups.into_iter().enumerate() {
-            self.pickups[i].extend(pile);
-        }
-        for (mine, theirs) in self.weekday.iter_mut().zip(other.weekday) {
-            *mine += theirs;
-        }
-        for (d, c) in other.per_day {
-            *self.per_day.entry(d).or_insert(0) += c;
-        }
-        for (splice, (pickups, tasks)) in other.buckets {
-            let mine = self.buckets.entry(splice).or_default();
-            mine.0.extend(pickups);
-            mine.1.extend(tasks);
-        }
-        for (key, c) in other.per_item {
-            *self.per_item.entry(key).or_insert(0) += c;
-        }
-        if let Some(ew) = other.max_end_week {
-            self.max_end_week = Some(self.max_end_week.map_or(ew, |m| m.max(ew)));
+            let b = row.batch.index();
+            let secs = row.work_time().as_secs();
+            if !self.marked[b] {
+                self.marked[b] = true;
+                self.dirty.push(b);
+            }
+            self.piles[b].push(secs);
+            let src = entities.worker(row.worker).source.raw();
+            let sums = &mut self.sums[b];
+            let at = match sums.binary_search_by_key(&src, |e| e.0) {
+                Ok(at) => at,
+                Err(at) => {
+                    sums.insert(at, (src, 0.0, 0));
+                    at
+                }
+            };
+            sums[at].1 += secs as f64;
+            sums[at].2 += 1;
         }
     }
 
-    /// Materializes a [`Fused`] for the current prefix: fixes the week
-    /// window, scatters the weekly series, and runs publish-time
-    /// enrichment (batch medians → per-source relative time).
-    fn shape(mut self, w0: i32, batch_max_week: Option<i32>) -> Fused {
-        let max_week = match (batch_max_week, self.max_end_week) {
-            (Some(b), Some(e)) => Some(b.max(e)),
-            (b, e) => b.or(e),
-        };
-        let (w0, n_weeks) = match max_week {
-            // `max_week ≥ w0` always: it includes the batch schedule `w0`
-            // came from, and rows only push it later.
-            Some(mw) => (w0, (mw - w0 + 1).max(0) as usize),
-            None => (0, 0),
-        };
-
-        self.issued.resize(n_weeks, 0);
-        self.completed.resize(n_weeks, 0);
-        self.pickups.resize(n_weeks, Vec::new());
-        let median_pickup = self.pickups.iter().map(|pile| median(pile)).collect();
-
-        // Publish-time enrichment: batch medians over the prefix piles,
-        // then the grouped ratio sums in (source, batch) key order.
-        let batch_median: BTreeMap<u32, Option<f64>> =
-            self.batch_times.iter().map(|(&b, pile)| (b, median(pile))).collect();
-        let mut sources: BTreeMap<u32, SourceAgg> = self
-            .sources
-            .iter()
-            .map(|(&id, core)| {
-                (
-                    id,
-                    SourceAgg {
-                        n_tasks: core.n_tasks,
-                        trust_sum: core.trust_sum,
-                        rel_time_sum: 0.0,
-                        rel_time_n: 0,
-                    },
-                )
-            })
-            .collect();
-        for (&(src, batch), &(work_sum, n)) in &self.src_batch {
-            if let Some(Some(med)) = batch_median.get(&batch) {
-                if *med > 0.0 {
-                    let agg = sources.get_mut(&src).expect("src_batch implies a source entry");
-                    agg.rel_time_sum += work_sum / med;
+    /// Refreshes the touched batches' medians, then adds every batch's
+    /// ratio sums to `sources` — batches ascending, so each source sums its
+    /// terms in batch order.
+    fn apply(&mut self, sources: &mut [SourceAgg]) {
+        for b in self.dirty.drain(..) {
+            self.medians[b] = self.piles[b].median();
+            self.marked[b] = false;
+        }
+        for (sums, med) in self.sums.iter().zip(&self.medians) {
+            let Some(med) = *med else { continue };
+            if med > 0.0 {
+                for &(src, work, n) in sums {
+                    let agg = &mut sources[src as usize];
+                    agg.rel_time_sum += work / med;
                     agg.rel_time_n += n;
                 }
             }
-        }
-
-        let instance_latency: Vec<LatencyPoint> = self
-            .buckets
-            .into_iter()
-            .filter_map(|(splice, (pickups, tasks))| {
-                let e2e = 10f64.powf(f64::from(splice) / 2.0 + 0.25);
-                Some(LatencyPoint {
-                    end_to_end: e2e,
-                    pickup: median(&pickups)?,
-                    task: median(&tasks)?,
-                })
-            })
-            .collect();
-
-        Fused {
-            w0,
-            n_weeks,
-            workers: self.workers,
-            sources,
-            issued: self.issued,
-            completed: self.completed,
-            median_pickup,
-            weekday: self.weekday,
-            per_day: self.per_day,
-            instance_latency,
-            per_item: self.per_item,
         }
     }
 }
@@ -331,10 +168,16 @@ pub struct FusedView {
     w0: i32,
     /// Last week of the batch schedule, `None` without batches.
     batch_max_week: Option<i32>,
-    /// Merged accumulator over every *full* chunk of the row log.
-    total: LiveAcc,
-    /// Rows past the last full chunk boundary (< [`ScanPass::CHUNK`]).
-    tail: InstanceColumns,
+    /// Every applied row's integer families, plus the float sums of every
+    /// full chunk of the row log.
+    state: State,
+    rel: RelTime,
+    /// Rows past the last full chunk boundary (< [`ScanPass::CHUNK`]),
+    /// already in `state` except for their float sums.
+    tail: Vec<Row>,
+    /// Largest end-time week seen (raw week index, not offset) — the
+    /// stream-side contribution to the publish-time week window.
+    max_end_week: Option<i32>,
     rows: usize,
     version: u64,
     shared: Arc<ViewShared>,
@@ -355,19 +198,24 @@ impl FusedView {
         let weeks: Vec<i32> = entities.batches.iter().map(|b| b.created_at.week().0).collect();
         let w0 = weeks.iter().copied().min().unwrap_or(0);
         let batch_max_week = weeks.iter().copied().max();
-        let fused = LiveAcc::default().shape(w0, batch_max_week);
-        let snapshot = Arc::new(ViewSnapshot { version: 0, rows: 0, fused });
-        let shared = Arc::new(ViewShared { current: RwLock::new(snapshot) });
-        FusedView {
+        let origin = entities.time_min().unwrap_or_default();
+        let placeholder = Arc::new(ViewSnapshot { version: 0, rows: 0, fused: Fused::default() });
+        let mut view = FusedView {
+            state: State::new(EntitySizes::of(&entities), origin),
+            rel: RelTime::new(entities.batches.len()),
             entities,
             w0,
             batch_max_week,
-            total: LiveAcc::default(),
-            tail: InstanceColumns::new(),
+            tail: Vec::with_capacity(ScanPass::CHUNK),
+            max_end_week: None,
             rows: 0,
             version: 0,
-            shared,
-        }
+            shared: Arc::new(ViewShared { current: RwLock::new(placeholder) }),
+        };
+        let fused = view.shape();
+        *view.shared.current.write().expect("view lock poisoned") =
+            Arc::new(ViewSnapshot { version: 0, rows: 0, fused });
+        view
     }
 
     /// The entity context rows are resolved against.
@@ -394,33 +242,54 @@ impl FusedView {
     /// order) and publishes a new snapshot — empty deltas publish too, so
     /// a heartbeat delta still bumps the version. Returns the snapshot.
     pub fn apply(&mut self, delta: &InstanceColumns) -> Arc<ViewSnapshot> {
-        self.tail.extend_from(delta, 0..delta.len());
-        self.rows += delta.len();
-        // Drain every completed CHUNK from the tail into the running
-        // total, folding in row order and merging in chunk order — the
-        // batch scan's exact discipline.
-        while self.tail.len() >= ScanPass::CHUNK {
-            let rest = self.tail.split_off(ScanPass::CHUNK);
-            let chunk = std::mem::replace(&mut self.tail, rest);
-            self.total.merge(self.fold(&chunk));
+        let weeks = Weeks::Open { w0: self.w0 };
+        let mut at = 0;
+        while at < delta.len() {
+            // Never let one derivation cross a chunk boundary: a full chunk's
+            // float sums join the state before the next chunk's rows fold.
+            let take = (ScanPass::CHUNK - self.tail.len()).min(delta.len() - at);
+            let first = self.tail.len();
+            Row::derive(&self.entities, weeks, delta, at..at + take, &mut self.tail);
+            self.state.absorb(&self.tail[first..]);
+            if self.tail.len() == ScanPass::CHUNK {
+                let floats = Floats::of(&self.tail, None);
+                add_floats(&mut self.state.workers, &mut self.state.sources, &floats);
+                self.tail.clear();
+            }
+            at += take;
         }
+        self.rel.absorb(&self.entities, delta);
+        if let Some(ew) = delta.end_col().iter().map(|t| t.week().0).max() {
+            self.max_end_week = Some(self.max_end_week.map_or(ew, |m| m.max(ew)));
+        }
+        self.rows += delta.len();
         self.publish()
     }
 
-    fn fold(&self, cols: &InstanceColumns) -> LiveAcc {
-        let mut acc = LiveAcc::default();
-        for row in cols.iter() {
-            acc.accept(&self.entities, self.w0, row);
+    /// Materializes a [`Fused`] for the current prefix: fixes the week
+    /// window, shapes the series from the owned piles, and copies the
+    /// per-entity aggregates with the open chunk's float sums added.
+    fn shape(&mut self) -> Fused {
+        let max_week = match (self.batch_max_week, self.max_end_week) {
+            (Some(b), Some(e)) => Some(b.max(e)),
+            (b, e) => b.or(e),
+        };
+        // `max_week ≥ w0` always: it includes the batch schedule `w0` came
+        // from, and rows only push it later. Without batches `w0` is 0.
+        let n_weeks = max_week.map_or(0, |mw| (mw - self.w0 + 1).max(0) as usize);
+        let mut workers = self.state.workers.clone();
+        let mut sources = self.state.sources.clone();
+        if !self.tail.is_empty() {
+            add_floats(&mut workers, &mut sources, &Floats::of(&self.tail, None));
         }
-        acc
+        self.rel.apply(&mut sources);
+        let per_item = self.state.per_item.clone();
+        let weeks = Weeks::Open { w0: self.w0 };
+        self.state.shape(&self.entities, weeks, n_weeks, workers, sources, per_item)
     }
 
     fn publish(&mut self) -> Arc<ViewSnapshot> {
-        let mut acc = self.total.clone();
-        if !self.tail.is_empty() {
-            acc.merge(self.fold(&self.tail));
-        }
-        let fused = acc.shape(self.w0, self.batch_max_week);
+        let fused = self.shape();
         self.version += 1;
         let snapshot = Arc::new(ViewSnapshot { version: self.version, rows: self.rows, fused });
         *self.shared.current.write().expect("view lock poisoned") = Arc::clone(&snapshot);

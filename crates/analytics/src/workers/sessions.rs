@@ -56,7 +56,7 @@ pub fn sessions(study: &Study, gap: Duration) -> SessionStats {
         active_workers += 1;
         // Stable sort: ties keep row order, like the index sort this
         // replaced.
-        let mut intervals = agg.intervals.clone();
+        let mut intervals: Vec<_> = agg.intervals.iter().collect();
         intervals.sort_by_key(|&(start, _)| start);
         let (mut start, mut end) = intervals[0];
         let mut count = 1u32;

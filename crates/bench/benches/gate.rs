@@ -17,9 +17,13 @@
 //! * `BENCH_shard.json` `warm_one_shard_speedup_vs_full_warm` — loading
 //!   one shard of a 16-shard scale-0.2 snapshot vs the full materializing
 //!   load.
-//! * `BENCH_shard.json` `streamed_cold_rss_advantage` — the one memory
-//!   ratio: peak RSS of the monolithic cold build vs the streaming cold
-//!   build (fresh child process each, so `VmHWM` is uncontaminated).
+//! * `BENCH_shard.json` `streamed_cold_rss_advantage` — peak RSS of the
+//!   monolithic cold build vs the streaming cold build (fresh child
+//!   process each, so `VmHWM` is uncontaminated).
+//! * `BENCH_shard.json` `fused_accumulator_rss` — peak RSS of a streaming
+//!   cold build followed by a forced fused scan, divided by that of the
+//!   cold build alone (scale 0.2 × 16 shards, fresh children). Lower is
+//!   better: it grows if the fused accumulator state stops being compact.
 //! * `BENCH_serve.json` `delta_apply_speedup_vs_batch_rebuild` — the
 //!   live view's incremental delta application vs rebuilding the fused
 //!   view from row zero at every delta boundary; collapses toward 1 if
@@ -60,9 +64,16 @@ const REGRESSION_TOLERANCE: f64 = 0.15;
 /// path) at least halves the ratio, far past 30%.
 const KERNEL_TOLERANCE: f64 = 0.30;
 
+/// Which way a gated ratio improves.
+#[derive(Clone, Copy)]
+enum Better {
+    Higher,
+    Lower,
+}
+
 /// A gated ratio: baseline file, baseline key, live re-measurement,
-/// allowed relative regression.
-type Check = (&'static str, &'static str, fn() -> f64, f64);
+/// allowed relative regression, direction of improvement.
+type Check = (&'static str, &'static str, fn() -> f64, f64, Better);
 
 /// Extracts `"key": <number>` from a checked-in baseline file.
 fn baseline(file: &str, key: &str) -> f64 {
@@ -210,6 +221,14 @@ fn rss_child(mode: &str) {
             std::hint::black_box(study.n_instances());
             let _ = std::fs::remove_dir_all(store.dir());
         }
+        // The same build followed by a forced fused scan, which streams the
+        // shards back from the store — the `repro`-shaped cold run.
+        "stream_cold_fused" => {
+            let store = temp_store("rss-stream-fused", 16);
+            let study = warm::study_from_config(&cfg, Some(&store));
+            std::hint::black_box(study.fused().n_instances());
+            let _ = std::fs::remove_dir_all(store.dir());
+        }
         other => panic!("unknown rss child `{other}`"),
     }
     println!("GATE_RSS_KB={}", vmhwm_kb());
@@ -235,7 +254,20 @@ fn child_rss(mode: &str) -> f64 {
 /// side runs in a fresh child. Memory, not time: a regression here means
 /// the streamed path started materializing rows again.
 fn measure_cold_rss_ratio() -> f64 {
-    child_rss("mono_cold") / child_rss("stream_cold")
+    child_rss("mono_cold") / stream_cold_rss()
+}
+
+/// The streaming cold build's peak, measured once for both RSS checks.
+fn stream_cold_rss() -> f64 {
+    static RSS: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
+    *RSS.get_or_init(|| child_rss("stream_cold"))
+}
+
+/// Peak RSS of the streamed cold build plus a forced fused scan over that
+/// of the build alone (scale 0.2, 16 shards): what the fused accumulator
+/// state adds on top of the build.
+fn measure_fused_rss_ratio() -> f64 {
+    child_rss("stream_cold_fused") / stream_cold_rss()
 }
 
 fn main() {
@@ -251,62 +283,96 @@ fn main() {
         eprintln!("[gate] skipped: perf ratios are only meaningful in release builds");
         return;
     }
-    let checks: [Check; 8] = [
-        ("BENCH_scan.json", "speedup_to_same_outputs", measure_scan_ratio, REGRESSION_TOLERANCE),
+    let checks: [Check; 9] = [
+        (
+            "BENCH_scan.json",
+            "speedup_to_same_outputs",
+            measure_scan_ratio,
+            REGRESSION_TOLERANCE,
+            Better::Higher,
+        ),
         (
             "BENCH_snapshot.json",
             "warm_speedup_vs_cold",
             measure_snapshot_ratio,
             REGRESSION_TOLERANCE,
+            Better::Higher,
         ),
         (
             "BENCH_shard.json",
             "warm_one_shard_speedup_vs_full_warm",
             measure_shard_ratio,
             REGRESSION_TOLERANCE,
+            Better::Higher,
         ),
         (
             "BENCH_shard.json",
             "streamed_cold_rss_advantage",
             measure_cold_rss_ratio,
             REGRESSION_TOLERANCE,
+            Better::Higher,
         ),
         (
             "BENCH_serve.json",
             "delta_apply_speedup_vs_batch_rebuild",
             measure_serve_ratio,
             REGRESSION_TOLERANCE,
+            Better::Higher,
         ),
         // Disk-backed ratio: fsync and page-cache behaviour on a shared
         // container is noisier than pure-CPU ratios, so it gets the wide
         // band. A real append regression (per-event fsync, quadratic
         // re-serialization) cuts the ratio by far more than 30%.
-        ("BENCH_serve.json", "wal_append_overhead", measure_wal_overhead_ratio, KERNEL_TOLERANCE),
+        (
+            "BENCH_serve.json",
+            "wal_append_overhead",
+            measure_wal_overhead_ratio,
+            KERNEL_TOLERANCE,
+            Better::Higher,
+        ),
         (
             "BENCH_kernel.json",
             "shingle_speedup_vs_oracle",
             measure_shingle_kernel_ratio,
             KERNEL_TOLERANCE,
+            Better::Higher,
         ),
         (
             "BENCH_kernel.json",
             "sign_speedup_vs_oracle",
             measure_sign_kernel_ratio,
             KERNEL_TOLERANCE,
+            Better::Higher,
+        ),
+        (
+            "BENCH_shard.json",
+            "fused_accumulator_rss",
+            measure_fused_rss_ratio,
+            REGRESSION_TOLERANCE,
+            Better::Lower,
         ),
     ];
 
     let mut failures = Vec::new();
-    for (file, key, run, tolerance) in checks {
+    for (file, key, run, tolerance, better) in checks {
         let base = baseline(file, key);
-        let floor = base * (1.0 - tolerance);
         let current = run();
-        let verdict = if current >= floor { "ok" } else { "REGRESSED" };
+        let (bound, ok, label, cmp) = match better {
+            Better::Higher => {
+                let floor = base * (1.0 - tolerance);
+                (floor, current >= floor, "floor", "<")
+            }
+            Better::Lower => {
+                let ceiling = base * (1.0 + tolerance);
+                (ceiling, current <= ceiling, "ceiling", ">")
+            }
+        };
+        let verdict = if ok { "ok" } else { "REGRESSED" };
         println!(
-            "[gate] {file} {key}: baseline {base:.2}, floor {floor:.2}, current {current:.2} — {verdict}"
+            "[gate] {file} {key}: baseline {base:.2}, {label} {bound:.2}, current {current:.2} — {verdict}"
         );
-        if current < floor {
-            failures.push(format!("{file} {key}: {current:.2} < floor {floor:.2}"));
+        if !ok {
+            failures.push(format!("{file} {key}: {current:.2} {cmp} {label} {bound:.2}"));
         }
     }
 

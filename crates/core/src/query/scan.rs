@@ -199,6 +199,10 @@ impl ScanPass {
     /// sequentially in chunk order. Every public entry point reduces to
     /// this, so the merge order — hence every float bit — is shared by
     /// the monolithic, planned, sharded, and streamed scans.
+    ///
+    /// Chunks are folded one window of `current_num_threads()` at a time
+    /// and each window is merged before the next starts, so at most one
+    /// partial per thread is alive at once, whatever the shard size.
     fn fold_range<A: Accumulator>(
         ds: &Dataset,
         cols: &InstanceColumns,
@@ -216,16 +220,18 @@ impl ScanPass {
         let chunks: Vec<(usize, usize)> = (0..(hi - lo).div_ceil(Self::CHUNK))
             .map(|c| (lo + c * Self::CHUNK, (lo + (c + 1) * Self::CHUNK).min(hi)))
             .collect();
-        let parts: Vec<A> = chunks
-            .par_iter()
-            .map(|&(clo, chi)| {
-                let mut acc = proto.init();
-                acc.accept_chunk(ds, base, cols, clo..chi);
-                acc
-            })
-            .collect();
-        for part in parts {
-            total.merge(part);
+        for window in chunks.chunks(rayon::current_num_threads().max(1)) {
+            let parts: Vec<A> = window
+                .par_iter()
+                .map(|&(clo, chi)| {
+                    let mut acc = proto.init();
+                    acc.accept_chunk(ds, base, cols, clo..chi);
+                    acc
+                })
+                .collect();
+            for part in parts {
+                total.merge(part);
+            }
         }
     }
 
@@ -348,6 +354,15 @@ mod tests {
     use crate::worker::{Source, SourceKind, Worker};
     use rayon::ThreadPoolBuilder;
 
+    /// The full-scan counter is process-global and the harness runs tests
+    /// concurrently, so every test here holds this lock while it scans:
+    /// the counting tests then see their own passes only.
+    static SCANS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SCANS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Order-sensitive float sum: catches any merge-order wobble.
     #[derive(Debug, Default)]
     struct TrustSum {
@@ -430,6 +445,7 @@ mod tests {
 
     #[test]
     fn matches_sequential_fold() {
+        let _scans = serial();
         let ds = dataset(20_001); // several chunks plus a remainder
         let expected: f64 = ds.instances.trust_col().iter().map(|&t| f64::from(t)).sum();
         // Same chunking as the engine, folded sequentially.
@@ -449,6 +465,7 @@ mod tests {
 
     #[test]
     fn bit_identical_across_thread_counts() {
+        let _scans = serial();
         let ds = dataset(50_000);
         let mut baseline = None;
         for threads in [1, 2, 3, 4, 7] {
@@ -464,6 +481,7 @@ mod tests {
 
     #[test]
     fn tuple_fusion_runs_one_pass() {
+        let _scans = serial();
         let ds = dataset(10_000);
         let before = ScanPass::full_scan_count();
         let cutoff = Timestamp::from_ymd(2015, 1, 1) + Duration::from_secs(5_000);
@@ -516,6 +534,7 @@ mod tests {
 
     #[test]
     fn columnar_override_is_bit_identical_to_row_loop() {
+        let _scans = serial();
         let ds = dataset(3 * ScanPass::CHUNK + 4321);
         let row_loop = ScanPass::run(&ds, &TrustSum::default()).to_bits();
         let columnar = ScanPass::run(&ds, &ColumnarTrustSum::default()).to_bits();
@@ -528,12 +547,14 @@ mod tests {
 
     #[test]
     fn empty_table_is_fine() {
+        let _scans = serial();
         let ds = DatasetBuilder::new().finish().unwrap();
         assert_eq!(ScanPass::run(&ds, &TrustSum::default()), 0.0);
     }
 
     #[test]
     fn shard_count_is_bit_invisible() {
+        let _scans = serial();
         // The heart of the sharding contract: planned, physically sharded,
         // and streamed scans all reproduce the monolithic float bits, at
         // any shard count crossed with any thread count.
@@ -566,6 +587,7 @@ mod tests {
 
     #[test]
     fn sharded_scans_count_as_one_pass_and_ids_stay_global() {
+        let _scans = serial();
         let ds = dataset(2 * ScanPass::CHUNK + 10);
         // Accumulator that records the largest id it saw: proves shard
         // bases offset local rows back into global instance ids.
@@ -595,6 +617,7 @@ mod tests {
 
     #[test]
     fn stream_fold_sink_matches_monolithic_scan() {
+        let _scans = serial();
         let ds = dataset(3 * ScanPass::CHUNK + 77);
         let baseline = ScanPass::run(&ds, &TrustSum::default()).to_bits();
         for shards in [1, 2, 5] {
@@ -615,6 +638,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "ascending order")]
     fn stream_fold_rejects_gaps() {
+        let _scans = serial();
         let ds = dataset(ScanPass::CHUNK);
         let proto = TrustSum::default();
         let mut fold = StreamFold::new(&ds, &proto);
@@ -623,6 +647,7 @@ mod tests {
 
     #[test]
     fn stream_errors_abort_the_scan() {
+        let _scans = serial();
         let ds = dataset(ScanPass::CHUNK);
         let blocks = vec![Ok((0, ds.instances.clone())), Err("disk died")];
         let got = ScanPass::run_stream(&ds, &TrustSum::default(), blocks.into_iter());
@@ -632,6 +657,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "CHUNK-aligned")]
     fn misaligned_shard_boundary_is_rejected() {
+        let _scans = serial();
         // A short (non-CHUNK-multiple) shard followed by another would
         // split a chunk across shards — exactly the float-order hazard
         // the alignment invariant exists to prevent.
@@ -643,6 +669,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "ascending order")]
     fn out_of_order_shards_are_rejected() {
+        let _scans = serial();
         let ds = dataset(ScanPass::CHUNK);
         let blocks = vec![Ok::<_, ()>((ScanPass::CHUNK, ds.instances.clone()))];
         let _ = ScanPass::run_stream(&ds, &TrustSum::default(), blocks.into_iter());

@@ -105,6 +105,54 @@ pub fn median_inplace(xs: &mut [f64]) -> Option<f64> {
     }
 }
 
+/// The R-7 median of `n` values given their order statistics: `kth(k)`
+/// returns the `k`-th smallest value (0-based). Evaluates exactly
+/// [`percentile_sorted`]'s expression at `p = 50`, so any exact
+/// order-statistic source is bit-identical to [`median`] over the same
+/// multiset. `None` when `n == 0`.
+pub fn median_by_rank(n: usize, mut kth: impl FnMut(usize) -> f64) -> Option<f64> {
+    if n == 0 {
+        return None;
+    }
+    if n == 1 {
+        return Some(kth(0));
+    }
+    let rank = 50.0 / 100.0 * (n - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    let frac = rank - lo as f64;
+    let a = kth(lo);
+    let b = if hi == lo { a } else { kth(hi) };
+    Some(a + (b - a) * frac)
+}
+
+/// Exact median of an integer-valued pile held as 32-bit `packed` values
+/// plus a 64-bit `spill` holding every value outside `0..=u32::MAX`, by
+/// in-place selection (`select_nth_unstable`; both slices are reordered,
+/// nothing is copied). Bit-identical to [`median`] over the same values
+/// converted to `f64`; `None` when both slices are empty.
+pub fn median_split(packed: &mut [u32], spill: &mut [i64]) -> Option<f64> {
+    debug_assert!(
+        spill.iter().all(|&v| u32::try_from(v).is_err()),
+        "spill holds only non-u32 values"
+    );
+    // Spilled values sit wholly below (negative) or above (> u32::MAX)
+    // every packed value, so the union's order statistics splice together.
+    spill.sort_unstable();
+    let below = spill.partition_point(|&v| v < 0);
+    let n = packed.len() + spill.len();
+    let n_packed = packed.len();
+    median_by_rank(n, |k| {
+        if k < below {
+            spill[k] as f64
+        } else if k - below < n_packed {
+            f64::from(*packed.select_nth_unstable(k - below).1)
+        } else {
+            spill[k - n_packed] as f64
+        }
+    })
+}
+
 /// Five-number-plus summary of a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
@@ -213,6 +261,43 @@ mod tests {
                 (Some(e), Some(g)) => assert_eq!(e.to_bits(), g.to_bits(), "{xs:?}"),
                 other => panic!("mismatch {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn median_split_handles_the_edge_shapes() {
+        assert_eq!(median_split(&mut [], &mut []), None);
+        assert_eq!(median_split(&mut [7], &mut []), Some(7.0));
+        assert_eq!(median_split(&mut [], &mut [-3]), Some(-3.0));
+        assert_eq!(median_split(&mut [4, 1, 3, 2], &mut []), Some(2.5));
+        assert_eq!(median_split(&mut [0, 5], &mut [-9, 1 << 40]), Some(2.5));
+    }
+
+    // The selection median over a packed/spilled pile is bit-identical to
+    // the sort-based `median` of the same values: odd and even lengths,
+    // heavy duplicates, single elements, negatives and values beyond `u32`.
+    proptest::proptest! {
+        #[test]
+        fn median_split_is_bit_identical_to_median(
+            draws in proptest::prop::collection::vec((0u8..4, 0i64..i64::MAX), 1..200)
+        ) {
+            let span = i64::MAX / 2;
+            let vals: Vec<i64> = draws
+                .iter()
+                .map(|&(kind, raw)| match kind {
+                    0 => raw % 8,
+                    1 => raw % (i64::from(u32::MAX) + 1),
+                    2 => i64::from(u32::MAX) + 1 + raw % span,
+                    _ => -1 - raw % span,
+                })
+                .collect();
+            let as_f64: Vec<f64> = vals.iter().map(|&v| v as f64).collect();
+            let mut packed: Vec<u32> = vals.iter().filter_map(|&v| u32::try_from(v).ok()).collect();
+            let mut spill: Vec<i64> =
+                vals.iter().copied().filter(|&v| u32::try_from(v).is_err()).collect();
+            let want = median(&as_f64).unwrap();
+            let got = median_split(&mut packed, &mut spill).unwrap();
+            proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
         }
     }
 

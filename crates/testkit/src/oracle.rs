@@ -26,7 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crowd_analytics::design::metrics::LatencyPoint;
-use crowd_analytics::fused::{month_index, Fused, SourceAgg, WeekCell, WorkerAgg};
+use crowd_analytics::fused::{month_index, Fused, ItemCounts, SourceAgg, WeekCell, WorkerAgg};
 use crowd_core::prelude::*;
 use crowd_stats::descriptive::median;
 
@@ -107,37 +107,50 @@ pub fn daily_load(ds: &Dataset) -> BTreeMap<i64, u64> {
 /// days/months (lifetimes and cohorts, Figs 29–30), instance intervals
 /// (sessions), and per-week task/hour cells (availability, Fig 26).
 pub fn worker_aggregates(ds: &Dataset) -> BTreeMap<u32, WorkerAgg> {
+    /// Plain tree-and-vector form of one worker's aggregates.
+    #[derive(Default)]
+    struct Plain {
+        tasks: u64,
+        work_secs: f64,
+        trust_sum: f64,
+        days: BTreeSet<i64>,
+        months: BTreeSet<i32>,
+        intervals: Vec<(Timestamp, Timestamp)>,
+        weeks: BTreeMap<usize, WeekCell>,
+    }
     let (w0, n_weeks) = week_span(ds);
-    let mut out: BTreeMap<u32, WorkerAgg> = BTreeMap::new();
+    let mut plain: BTreeMap<u32, Plain> = BTreeMap::new();
     for row in ds.instances.iter() {
-        let day = row.start.day_number();
-        let w = out.entry(row.worker.raw()).or_insert_with(|| WorkerAgg {
-            tasks: 0,
-            work_secs: 0.0,
-            trust_sum: 0.0,
-            first_day: i64::MAX,
-            last_day: i64::MIN,
-            days: BTreeSet::new(),
-            months: BTreeSet::new(),
-            intervals: Vec::new(),
-            weeks: BTreeMap::new(),
-        });
+        let w = plain.entry(row.worker.raw()).or_default();
         w.tasks += 1;
         w.work_secs += row.work_time().as_secs() as f64;
         w.trust_sum += f64::from(row.trust);
-        w.first_day = w.first_day.min(day);
-        w.last_day = w.last_day.max(day);
-        w.days.insert(day);
+        w.days.insert(row.start.day_number());
         w.months.insert(month_index(row.start));
         w.intervals.push((row.start, row.end));
         if n_weeks > 0 {
-            let cell: &mut WeekCell =
-                w.weeks.entry(clamped_week(w0, n_weeks, row.start)).or_default();
+            let cell = w.weeks.entry(clamped_week(w0, n_weeks, row.start)).or_default();
             cell.tasks += 1;
             cell.hours += row.work_time().as_hours_f64();
         }
     }
-    out
+    plain
+        .into_iter()
+        .map(|(id, w)| {
+            let agg = WorkerAgg {
+                tasks: w.tasks,
+                work_secs: w.work_secs,
+                trust_sum: w.trust_sum,
+                first_day: *w.days.first().expect("active worker has days"),
+                last_day: *w.days.last().expect("active worker has days"),
+                days: w.days.into_iter().collect(),
+                months: w.months.into_iter().collect(),
+                intervals: w.intervals.into_iter().collect(),
+                weeks: w.weeks.into_iter().collect(),
+            };
+            (id, agg)
+        })
+        .collect()
 }
 
 /// Per-source aggregates: task counts, trust sums, and relative-speed
@@ -187,12 +200,12 @@ pub fn latency_splices(ds: &Dataset) -> Vec<LatencyPoint> {
 
 /// Judgments per `(batch, item)` pair — the redundancy distribution §4.1
 /// draws agreement curves from.
-pub fn redundancy_counts(ds: &Dataset) -> BTreeMap<(u32, u32), u32> {
-    let mut out = BTreeMap::new();
+pub fn redundancy_counts(ds: &Dataset) -> ItemCounts {
+    let mut out: BTreeMap<(u32, u32), u32> = BTreeMap::new();
     for row in ds.instances.iter() {
         *out.entry((row.batch.raw(), row.item.raw())).or_insert(0) += 1;
     }
-    out
+    out.into_iter().collect()
 }
 
 /// The full oracle: every family composed into a [`Fused`] value for

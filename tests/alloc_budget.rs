@@ -50,6 +50,12 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 /// hundreds a reintroduced per-call allocation would add.
 const NOISE: u64 = 10;
 
+/// The fused scan's budget: at most one allocation per this many rows.
+/// Measured 0.15 allocations per row on the pinned workload (7,871 for
+/// 54,051 rows, almost all of them per-worker vectors doubling); the
+/// per-chunk B-tree layout this replaced needed 0.32 (17,194).
+const FUSED_ALLOCS_PER_ROW_DEN: u64 = 5;
+
 #[test]
 fn steady_state_allocation_budgets_hold() {
     use crowd_cluster::{MinHasher, ShingleScratch};
@@ -117,5 +123,24 @@ fn steady_state_allocation_budgets_hold() {
         build_allocs <= 3 * rows,
         "streaming build allocated {build_allocs} times for {rows} rows \
          (> 3/row budget)"
+    );
+
+    // ---- fused scan: no per-chunk tree churn ---------------------------
+    // The compact fused state grows dense vectors geometrically and each
+    // chunk partial owns a handful of flat buffers, so a whole scan costs
+    // a small fraction of an allocation per row. Per-chunk B-tree nodes
+    // (one per ~11 keys per family, rebuilt for every 8192-row chunk)
+    // break the pin.
+    let study = crowd_analytics::Study::new(crowd_sim::simulate(&cfg));
+    let scan_allocs = allocs_during(|| {
+        std::hint::black_box(crowd_analytics::fused::compute(&study));
+    });
+    let rows = study.n_instances() as u64;
+    assert!(rows > 4 * shard_rows as u64, "need several chunks to exercise the merge");
+    eprintln!("fused scan: {scan_allocs} allocations for {rows} rows");
+    assert!(
+        scan_allocs * FUSED_ALLOCS_PER_ROW_DEN <= rows,
+        "fused scan allocated {scan_allocs} times for {rows} rows \
+         (> 1/{FUSED_ALLOCS_PER_ROW_DEN} per row budget)"
     );
 }
