@@ -127,31 +127,8 @@ impl Study {
             let (_ids, docs) = sampled_docs(&ds);
             Clusterer::new(params).cluster(&docs)
         };
-        Study::with_clustering(ds, clustering)
-    }
-
-    /// Enriches against an externally computed clustering — the entry
-    /// point for callers that already hold labels (an A/B harness reusing
-    /// one clustering across arms, or a snapshot warm start recomputing
-    /// enrichment only).
-    ///
-    /// # Panics
-    /// If `clustering` does not cover exactly the sampled batches (its
-    /// length must equal their count; labels are positional in dataset
-    /// order, as produced by clustering [`sampled_docs`]).
-    pub fn with_clustering(ds: Dataset, clustering: Clustering) -> Study {
         let index = ds.index();
         let metrics = enrich_batches(&ds, &index, &clustering);
-        Study::assemble(ds, index, metrics)
-    }
-
-    /// Rebuilds a `Study` from persisted per-batch enrichment, skipping
-    /// clustering and metric computation entirely — the snapshot warm
-    /// path. `metrics` must be the sampled batches in dataset order, with
-    /// dense cluster ids, exactly as [`enrich_batches`] produces (and as
-    /// `crowd-snapshot` validates on decode).
-    pub fn from_enrichment(ds: Dataset, metrics: Vec<BatchMetrics>) -> Study {
-        let index = ds.index();
         Study::assemble(ds, index, metrics)
     }
 
@@ -159,13 +136,14 @@ impl Study {
     /// *except* instances (its instance table must be empty), `n_rows` is
     /// the true row count, and `fused_source` produces the fused scan on
     /// first use — typically by streaming shard sections back off disk, so
-    /// no more than one shard of rows is ever resident. `metrics` follows
-    /// the same positional contract as [`from_enrichment`](Self::from_enrichment).
+    /// no more than one shard of rows is ever resident. `metrics` must be
+    /// the sampled batches in dataset order, with dense cluster ids,
+    /// exactly as [`enrich_batches`] produces (and as `crowd-snapshot`
+    /// validates on decode).
     ///
     /// # Panics
     /// If `entities` already holds instance rows (that would make
-    /// [`n_instances`](Self::n_instances) ambiguous — use
-    /// [`from_enrichment`](Self::from_enrichment) instead).
+    /// [`n_instances`](Self::n_instances) ambiguous).
     pub fn from_enrichment_streamed(
         entities: Dataset,
         metrics: Vec<BatchMetrics>,
@@ -855,9 +833,8 @@ mod tests {
         for shards in [1usize, 4, 16] {
             let plan = ShardPlan::new(ds.instances.len(), shards);
             let mut enricher = StreamingEnricher::new(&entities);
-            let sharded = ShardedColumns::split(ds.instances.clone(), shards);
-            for (base, shard) in sharded.iter_shards() {
-                enricher.flush(base, shard).expect("infallible");
+            for range in plan.ranges() {
+                enricher.flush(range.start, &ds.instances.clone_range(range)).expect("infallible");
             }
             assert_eq!(enricher.rows(), ds.instances.len());
             let streamed = enricher.finish(&entities, &clustering);
@@ -888,10 +865,10 @@ mod tests {
         let lean = Study::from_enrichment_streamed(entities, metrics, n, move |study| {
             // Stand-in for the snapshot reader: stream the held columns
             // back in CHUNK-aligned shards.
-            let sharded = ShardedColumns::split((*rows).clone(), 7);
-            let shards = sharded
-                .iter_shards()
-                .map(|(base, shard)| Ok::<_, std::convert::Infallible>((base, shard.clone())));
+            let plan = ShardPlan::new(rows.len(), 7);
+            let shards = plan
+                .ranges()
+                .map(|r| Ok::<_, std::convert::Infallible>((r.start, rows.clone_range(r))));
             let metrics: Vec<BatchMetrics> = study.enriched_batches().cloned().collect();
             crate::fused::compute_streamed(
                 study.dataset(),

@@ -103,7 +103,9 @@ fn measure_scan_ratio() -> f64 {
     seq_s / fused_s
 }
 
-/// Warm snapshot start vs cold simulate+enrich at the snapshot-bench scale.
+/// Warm snapshot start vs cold simulate+enrich at the snapshot-bench scale,
+/// through a one-shard store: the cold side is the streamed build, the
+/// warm side loads only the meta payload.
 fn measure_snapshot_ratio() -> f64 {
     let cfg = SimConfig::new(2017, 0.05);
     let store = temp_store("snapshot", 1);
@@ -122,10 +124,10 @@ fn measure_snapshot_ratio() -> f64 {
 }
 
 /// One-shard load vs the full materializing load on a 16-shard scale-0.2
-/// snapshot. `store.load` (not `study_from_config`): with shards > 1 the
-/// warm Study is columns-optional and never materializes the table, so
-/// the denominator must pin the full load explicitly to keep measuring
-/// the same thing the baseline recorded.
+/// snapshot. `store.load` (not `study_from_config`): the warm Study is
+/// columns-optional and never materializes the table, so the denominator
+/// must pin the full load explicitly to keep measuring the same thing the
+/// baseline recorded.
 fn measure_shard_ratio() -> f64 {
     let cfg = SimConfig::new(2017, 0.2);
     let store = temp_store("shard", 16);

@@ -1,7 +1,8 @@
 //! Snapshot warm-start speedup: `Study::new`-equivalent construction cold
 //! (simulate + shingle + LSH + enrich, writing the snapshot) vs warm
-//! (read + verify + rebuild from persisted enrichment) at the conformance
-//! scale. Both paths are bit-identical by construction — see
+//! (read + verify the meta payload, rebuild from persisted enrichment; the
+//! instance shards stay on disk until a fused scan asks for them) at the
+//! conformance scale. Both paths are bit-identical by construction — see
 //! `tests/snapshot_golden.rs` — so this measures pure work avoided.
 //! Numbers land in `BENCH_snapshot.json` by hand.
 

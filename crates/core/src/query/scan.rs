@@ -27,8 +27,7 @@
 //! ## Shard reduction
 //!
 //! Sharding composes with the same discipline (DESIGN.md §15): a sharded
-//! scan ([`ScanPass::run_plan`], [`ScanPass::run_sharded`],
-//! [`ScanPass::run_stream`]) folds each shard's chunks exactly as above
+//! scan ([`ScanPass::run_plan`], [`ScanPass::run_stream`]) folds each shard's chunks exactly as above
 //! and merges **chunk-level** partials into one running total in global
 //! chunk order. Because shard boundaries are always [`ScanPass::CHUNK`]
 //! multiples (see [`crate::shard::ShardPlan`]), the chunk decomposition —
@@ -44,7 +43,7 @@ use rayon::prelude::*;
 
 use crate::dataset::{Dataset, InstanceColumns, InstanceRef};
 use crate::id::InstanceId;
-use crate::shard::{ShardPlan, ShardSink, ShardedColumns};
+use crate::shard::{ShardPlan, ShardSink};
 
 /// Counts completed full-table scans ([`ScanPass::run`] calls) in this
 /// process; a debug/diagnostic aid for asserting scan-fusion budgets.
@@ -150,24 +149,6 @@ impl ScanPass {
         total.finish(ds)
     }
 
-    /// Runs `proto` over a physically sharded store. `ds` supplies the
-    /// entity context ([`Accumulator::accept`] receives it for batch /
-    /// worker lookups); the rows come from `sharded`, not from
-    /// `ds.instances`. Bit-identical to running over the concatenated
-    /// store.
-    pub fn run_sharded<A: Accumulator>(
-        ds: &Dataset,
-        sharded: &ShardedColumns,
-        proto: &A,
-    ) -> A::Output {
-        FULL_SCANS.fetch_add(1, Ordering::Relaxed);
-        let mut total = proto.init();
-        for (base, shard) in sharded.iter_shards() {
-            Self::fold_range(ds, shard, base, 0..shard.len(), proto, &mut total);
-        }
-        total.finish(ds)
-    }
-
     /// Runs `proto` over a stream of owned shards — `(global_base, rows)`
     /// in ascending base order, each base a [`CHUNK`](Self::CHUNK)
     /// multiple — dropping each shard after folding it, so peak memory is
@@ -198,7 +179,7 @@ impl ScanPass {
     /// into `total`: chunk partials computed in parallel, merged
     /// sequentially in chunk order. Every public entry point reduces to
     /// this, so the merge order — hence every float bit — is shared by
-    /// the monolithic, planned, sharded, and streamed scans.
+    /// the monolithic, planned, and streamed scans.
     ///
     /// Chunks are folded one window of `current_num_threads()` at a time
     /// and each window is merged before the next starts, so at most one
@@ -555,9 +536,9 @@ mod tests {
     #[test]
     fn shard_count_is_bit_invisible() {
         let _scans = serial();
-        // The heart of the sharding contract: planned, physically sharded,
-        // and streamed scans all reproduce the monolithic float bits, at
-        // any shard count crossed with any thread count.
+        // The heart of the sharding contract: planned and streamed scans
+        // both reproduce the monolithic float bits, at any shard count
+        // crossed with any thread count.
         let ds = dataset(3 * ScanPass::CHUNK + 1234);
         let baseline = ScanPass::run(&ds, &TrustSum::default()).to_bits();
         for threads in [1, 4] {
@@ -568,13 +549,9 @@ mod tests {
                     let planned = ScanPass::run_plan(&ds, &plan, &TrustSum::default());
                     assert_eq!(planned.to_bits(), baseline, "plan {shards}x{threads}");
 
-                    let sharded = crate::shard::ShardedColumns::split(ds.instances.clone(), shards);
-                    let physical = ScanPass::run_sharded(&ds, &sharded, &TrustSum::default());
-                    assert_eq!(physical.to_bits(), baseline, "sharded {shards}x{threads}");
-
-                    let blocks = sharded
-                        .iter_shards()
-                        .map(|(base, s)| Ok::<_, ()>((base, s.clone())))
+                    let blocks = plan
+                        .ranges()
+                        .map(|r| Ok::<_, ()>((r.start, ds.instances.clone_range(r))))
                         .collect::<Vec<_>>();
                     let streamed =
                         ScanPass::run_stream(&ds, &TrustSum::default(), blocks.into_iter())
@@ -609,8 +586,9 @@ mod tests {
             }
         }
         let before = ScanPass::full_scan_count();
-        let sharded = crate::shard::ShardedColumns::split(ds.instances.clone(), 3);
-        let max_id = ScanPass::run_sharded(&ds, &sharded, &MaxId::default());
+        let plan = crate::shard::ShardPlan::new(ds.instances.len(), 3);
+        let shards = plan.ranges().map(|r| Ok::<_, ()>((r.start, ds.instances.clone_range(r))));
+        let max_id = ScanPass::run_stream(&ds, &MaxId::default(), shards).unwrap();
         assert_eq!(ScanPass::full_scan_count() - before, 1, "one fused pass");
         assert_eq!(max_id, ds.instances.len() as u64 - 1);
     }
@@ -621,13 +599,13 @@ mod tests {
         let ds = dataset(3 * ScanPass::CHUNK + 77);
         let baseline = ScanPass::run(&ds, &TrustSum::default()).to_bits();
         for shards in [1, 2, 5] {
-            let sharded = crate::shard::ShardedColumns::split(ds.instances.clone(), shards);
+            let plan = crate::shard::ShardPlan::new(ds.instances.len(), shards);
             let proto = TrustSum::default();
             let before = ScanPass::full_scan_count();
             let mut fold = StreamFold::new(&ds, &proto);
-            for (base, shard) in sharded.iter_shards() {
-                assert_eq!(fold.rows(), base);
-                fold.flush(base, shard).unwrap();
+            for range in plan.ranges() {
+                assert_eq!(fold.rows(), range.start);
+                fold.flush(range.start, &ds.instances.clone_range(range)).unwrap();
             }
             assert_eq!(fold.rows(), ds.instances.len());
             assert_eq!(fold.finish().to_bits(), baseline, "shards={shards}");

@@ -538,18 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_encoding_round_trips_bitwise_at_any_shard_count() {
-        let ds = crowd_sim::simulate(&SimConfig::tiny(42));
-        let snap = Snapshot { dataset: ds.clone(), derived: None };
-        for shards in [1usize, 2, 3, 8, 100] {
-            let bytes = crate::encode_sharded(&snap, 0xFEED, shards);
-            let back = crate::decode(&bytes, 0xFEED).expect("valid snapshot decodes");
-            assert_eq!(back.dataset.instances, ds.instances, "{shards} shards");
-            assert_eq!(back.dataset.batches, ds.batches, "{shards} shards");
-        }
-    }
-
-    #[test]
     fn html_sharing_is_rebuilt() {
         let ds = crowd_sim::simulate(&SimConfig::tiny(7));
         let back = roundtrip(&Snapshot { dataset: ds.clone(), derived: None }).dataset;

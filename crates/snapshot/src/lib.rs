@@ -66,6 +66,7 @@ use crowd_cluster::{ClusterParams, Signature};
 use crowd_core::dataset::{Dataset, InstanceColumns};
 use crowd_core::rng::stream_seed;
 use crowd_core::shard::ShardPlan;
+use crowd_core::time::Timestamp;
 use crowd_sim::SimConfig;
 
 mod codec;
@@ -198,69 +199,41 @@ pub fn fingerprint(cfg: &SimConfig) -> u64 {
     stream_seed(cfg.fingerprint(), u64::from(FORMAT_VERSION))
 }
 
-/// Serializes a snapshot into the on-disk byte format, keyed by
-/// `fingerprint`, with a single instance shard. Equivalent to
-/// [`encode_sharded`] with `shards == 1`.
-pub fn encode(snapshot: &Snapshot, fingerprint: u64) -> Vec<u8> {
-    encode_sharded(snapshot, fingerprint, 1)
+/// Length of the fixed file header that precedes the meta payload.
+pub(crate) const HEADER_LEN: usize = 40;
+
+/// The file's head: the fixed header and the meta payload it covers
+/// (entities, derived artifacts, shard directory, `time_max`), which
+/// follows it directly. [`encode`] and [`SnapshotWriter::finish`] both
+/// assemble their files from this, so the header layout is written in one
+/// place.
+pub(crate) fn encode_head(
+    fingerprint: u64,
+    entities: &Dataset,
+    derived: Option<&Derived>,
+    directory: &ShardDirectory,
+    time_max: Option<Timestamp>,
+) -> ([u8; HEADER_LEN], Vec<u8>) {
+    let meta = codec::encode_meta(entities, derived, directory, time_max);
+    let mut header = [0u8; HEADER_LEN];
+    header[..8].copy_from_slice(&MAGIC);
+    header[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    // Bytes 12..16: flags, reserved (zero).
+    header[16..24].copy_from_slice(&fingerprint.to_le_bytes());
+    header[24..32].copy_from_slice(&(meta.len() as u64).to_le_bytes());
+    header[32..40].copy_from_slice(&format::checksum(&meta).to_le_bytes());
+    (header, meta)
 }
 
-/// Serializes a snapshot with its instance table partitioned into (up to)
-/// `shards` independently checksummed sections.
-///
-/// The shard count is a *layout* knob, not part of the cache key: readers
-/// stream whatever partitioning is on disk, decoded contents are
-/// bit-identical at any shard count, and the fingerprint is unchanged.
-/// Fewer shards than requested may be written — [`ShardPlan`] keeps every
-/// boundary scan-chunk-aligned so shard count stays bit-invisible to
-/// streamed scans.
-pub fn encode_sharded(snapshot: &Snapshot, fingerprint: u64, shards: usize) -> Vec<u8> {
-    let cols = &snapshot.dataset.instances;
-    let plan = ShardPlan::new(cols.len(), shards);
-    let mut sections: Vec<Vec<u8>> = Vec::with_capacity(plan.n_shards());
-    let mut infos = Vec::with_capacity(plan.n_shards());
-    for range in plan.ranges() {
-        let bytes = codec::encode_instances(cols, range.start, range.end);
-        infos.push(ShardSectionInfo {
-            rows: (range.end - range.start) as u32,
-            byte_len: bytes.len() as u64,
-            checksum: format::checksum(&bytes),
-        });
-        sections.push(bytes);
-    }
-    let directory = ShardDirectory::from_parts(cols.len() as u64, plan.shard_rows() as u64, infos)
-        .expect("encoder builds a consistent directory");
-    let meta = codec::encode_meta(
-        &snapshot.dataset,
-        snapshot.derived.as_ref(),
-        &directory,
-        snapshot.dataset.time_max(),
-    );
-    let total: usize = sections.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(40 + meta.len() + total);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes()); // flags, reserved
-    out.extend_from_slice(&fingerprint.to_le_bytes());
-    out.extend_from_slice(&(meta.len() as u64).to_le_bytes());
-    out.extend_from_slice(&format::checksum(&meta).to_le_bytes());
-    out.extend_from_slice(&meta);
-    for s in &sections {
-        out.extend_from_slice(s);
-    }
-    out
-}
-
-/// Deserializes a snapshot, verifying (in order) magic, version,
-/// fingerprint, meta payload length, meta checksum and shape, and every
-/// shard section's checksum and shape.
-///
-/// For shard-granular or bounded-memory access to a snapshot *file*, use
-/// [`ShardedSnapshotReader`] instead — this entry point requires the whole
-/// file in memory and materializes every shard.
-pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<Snapshot, SnapshotError> {
-    let mut r = format::ByteReader::new(bytes);
-    if r.take(8).map_err(|_| SnapshotError::Truncated)? != MAGIC {
+/// Parses the fixed header, verifying magic, version, and fingerprint;
+/// returns the meta payload's length and stored checksum. [`decode`] and
+/// [`ShardedSnapshotReader::open`] both read their files through this.
+pub(crate) fn parse_header(
+    header: &[u8],
+    expected_fingerprint: u64,
+) -> Result<(u64, u64), SnapshotError> {
+    let mut r = format::ByteReader::new(header);
+    if r.take(8)? != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
     let version = r.u32()?;
@@ -272,29 +245,78 @@ pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<Snapshot, Snaps
     if found != expected_fingerprint {
         return Err(SnapshotError::FingerprintMismatch { found, expected: expected_fingerprint });
     }
-    let payload_len = r.u64()? as usize;
-    let stored_sum = r.u64()?;
-    if r.remaining() < payload_len {
-        return Err(SnapshotError::Truncated);
-    }
-    let meta_bytes = r.take(payload_len)?;
-    if format::checksum(meta_bytes) != stored_sum {
+    Ok((r.u64()?, r.u64()?))
+}
+
+/// Verifies the meta payload against its stored checksum and decodes it,
+/// then checks that the shard sections it describes end exactly at
+/// `file_len`.
+pub(crate) fn check_meta(
+    meta: &[u8],
+    stored_sum: u64,
+    file_len: u64,
+) -> Result<codec::DecodedMeta, SnapshotError> {
+    if format::checksum(meta) != stored_sum {
         return Err(SnapshotError::ChecksumMismatch);
     }
+    let decoded = codec::decode_meta(meta)?;
+    let end = ((HEADER_LEN + meta.len()) as u64).saturating_add(decoded.directory.sections_len());
+    match end.cmp(&file_len) {
+        std::cmp::Ordering::Greater => Err(SnapshotError::Truncated),
+        std::cmp::Ordering::Less => Err(SnapshotError::Corrupt("trailing bytes")),
+        std::cmp::Ordering::Equal => Ok(decoded),
+    }
+}
+
+/// Serializes a snapshot into the on-disk byte format, keyed by
+/// `fingerprint`, with a single instance shard — byte-identical to a
+/// [`SnapshotWriter`] that was flushed the whole table as one shard.
+pub fn encode(snapshot: &Snapshot, fingerprint: u64) -> Vec<u8> {
+    let cols = &snapshot.dataset.instances;
+    let plan = ShardPlan::single(cols.len());
+    let sections: Vec<Vec<u8>> =
+        plan.ranges().map(|r| codec::encode_instances(cols, r.start, r.end)).collect();
+    let infos = plan.ranges().zip(&sections).map(|(r, b)| ShardSectionInfo::of(r.len(), b));
+    let directory =
+        ShardDirectory::from_parts(cols.len() as u64, plan.shard_rows() as u64, infos.collect())
+            .expect("a single-shard plan builds a consistent directory");
+    let dataset = &snapshot.dataset;
+    let (header, meta) = encode_head(
+        fingerprint,
+        dataset,
+        snapshot.derived.as_ref(),
+        &directory,
+        dataset.time_max(),
+    );
+    let total: usize = sections.iter().map(Vec::len).sum();
+    let mut out = Vec::with_capacity(HEADER_LEN + meta.len() + total);
+    out.extend_from_slice(&header);
+    out.extend_from_slice(&meta);
+    for s in &sections {
+        out.extend_from_slice(s);
+    }
+    out
+}
+
+/// Deserializes a snapshot, verifying (in order) magic, version,
+/// fingerprint, meta checksum and shape, the file's extent, and every
+/// shard section's checksum and shape.
+///
+/// For shard-granular or bounded-memory access to a snapshot *file*, use
+/// [`ShardedSnapshotReader`] instead — this entry point requires the whole
+/// file in memory and materializes every shard.
+pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<Snapshot, SnapshotError> {
+    let mut r = format::ByteReader::new(bytes);
+    let (payload_len, stored_sum) = parse_header(r.take(HEADER_LEN)?, expected_fingerprint)?;
+    let meta = r.take(usize::try_from(payload_len).map_err(|_| SnapshotError::Truncated)?)?;
     let codec::DecodedMeta { mut entities, derived, directory, time_max: _ } =
-        codec::decode_meta(meta_bytes)?;
+        check_meta(meta, stored_sum, bytes.len() as u64)?;
     let mut cols = InstanceColumns::new();
     cols.reserve(directory.n_rows() as usize);
     let (n_batches, n_workers) = (entities.batches.len(), entities.workers.len());
     for (shard, sec) in directory.sections().iter().enumerate() {
-        let bytes = r.take(sec.byte_len as usize)?;
-        if format::checksum(bytes) != sec.checksum {
-            return Err(SnapshotError::ShardCorrupt { shard });
-        }
-        codec::decode_instances_into(bytes, sec.rows as usize, n_batches, n_workers, &mut cols)?;
-    }
-    if r.remaining() != 0 {
-        return Err(SnapshotError::Corrupt("trailing bytes"));
+        let section = r.take(sec.byte_len as usize)?;
+        sharded::decode_section(section, shard, sec, n_batches, n_workers, &mut cols)?;
     }
     entities.instances = cols;
     entities.validate().map_err(|_| SnapshotError::Corrupt("dataset integrity"))?;

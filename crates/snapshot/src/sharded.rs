@@ -21,8 +21,8 @@ use crowd_core::dataset::{Dataset, InstanceColumns};
 use crowd_core::query::ScanPass;
 use crowd_core::time::Timestamp;
 
-use crate::format::{checksum, ByteReader};
-use crate::{codec, Derived, Snapshot, SnapshotError, FORMAT_VERSION, MAGIC};
+use crate::format::checksum;
+use crate::{check_meta, codec, parse_header, Derived, Snapshot, SnapshotError, HEADER_LEN};
 
 /// Location and integrity record of one shard's instance section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,6 +33,17 @@ pub struct ShardSectionInfo {
     pub byte_len: u64,
     /// Checksum of the section bytes, verified independently per shard.
     pub checksum: u64,
+}
+
+impl ShardSectionInfo {
+    /// The directory record of an encoded section holding `rows` rows.
+    pub(crate) fn of(rows: usize, bytes: &[u8]) -> ShardSectionInfo {
+        ShardSectionInfo {
+            rows: rows as u32,
+            byte_len: bytes.len() as u64,
+            checksum: checksum(bytes),
+        }
+    }
 }
 
 /// The shard directory: how the instance table is partitioned on disk.
@@ -107,9 +118,10 @@ impl ShardDirectory {
         self.sections[..shard].iter().map(|s| s.byte_len).sum()
     }
 
-    /// Total bytes of all shard sections.
-    fn sections_len(&self) -> u64 {
-        self.sections.iter().map(|s| s.byte_len).sum()
+    /// Total bytes of all shard sections (saturating: the lengths come
+    /// from the file, and an absurd total must read as truncation).
+    pub(crate) fn sections_len(&self) -> u64 {
+        self.sections.iter().fold(0, |total, s| total.saturating_add(s.byte_len))
     }
 }
 
@@ -125,6 +137,23 @@ fn read_exact_or_truncated(file: &mut File, buf: &mut [u8]) -> Result<(), Snapsh
     })
 }
 
+/// Verifies one shard section against its directory record and decodes
+/// its rows into `out` — the one section check behind both
+/// [`crate::decode`] and the file reader.
+pub(crate) fn decode_section(
+    bytes: &[u8],
+    shard: usize,
+    sec: &ShardSectionInfo,
+    n_batches: usize,
+    n_workers: usize,
+    out: &mut InstanceColumns,
+) -> Result<(), SnapshotError> {
+    if checksum(bytes) != sec.checksum {
+        return Err(SnapshotError::ShardCorrupt { shard });
+    }
+    codec::decode_instances_into(bytes, sec.rows as usize, n_batches, n_workers, out)
+}
+
 /// Seeks to, reads, verifies, and decodes one shard section.
 fn read_section(
     file: &mut File,
@@ -135,14 +164,11 @@ fn read_section(
     n_workers: usize,
     out: &mut InstanceColumns,
 ) -> Result<(), SnapshotError> {
-    let sec = directory.sections()[shard];
+    let sec = &directory.sections()[shard];
     file.seek(SeekFrom::Start(sections_start + directory.section_offset(shard)))?;
     let mut buf = vec![0u8; sec.byte_len as usize];
     read_exact_or_truncated(file, &mut buf)?;
-    if checksum(&buf) != sec.checksum {
-        return Err(SnapshotError::ShardCorrupt { shard });
-    }
-    codec::decode_instances_into(&buf, sec.rows as usize, n_batches, n_workers, out)
+    decode_section(&buf, shard, sec, n_batches, n_workers, out)
 }
 
 /// Lazily reads a snapshot file shard by shard.
@@ -180,43 +206,18 @@ impl ShardedSnapshotReader {
     ) -> Result<ShardedSnapshotReader, SnapshotError> {
         let mut file = File::open(path)?;
         let file_len = file.metadata()?.len();
-        let mut header = [0u8; 40];
+        let mut header = [0u8; HEADER_LEN];
         read_exact_or_truncated(&mut file, &mut header)?;
-        let mut r = ByteReader::new(&header);
-        if r.take(8).expect("header buffered") != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = r.u32().expect("header buffered");
-        if version != FORMAT_VERSION {
-            return Err(SnapshotError::VersionMismatch { found: version });
-        }
-        let _flags = r.u32().expect("header buffered");
-        let found = r.u64().expect("header buffered");
-        if found != expected_fingerprint {
-            return Err(SnapshotError::FingerprintMismatch {
-                found,
-                expected: expected_fingerprint,
-            });
-        }
-        let payload_len = r.u64().expect("header buffered");
-        let stored_sum = r.u64().expect("header buffered");
+        let (payload_len, stored_sum) = parse_header(&header, expected_fingerprint)?;
         // Bound the meta allocation by the actual file size before trusting
         // the header's length field.
-        if 40 + payload_len > file_len {
+        if payload_len > file_len - HEADER_LEN as u64 {
             return Err(SnapshotError::Truncated);
         }
         let mut meta = vec![0u8; payload_len as usize];
         read_exact_or_truncated(&mut file, &mut meta)?;
-        if checksum(&meta) != stored_sum {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-        let decoded = codec::decode_meta(&meta)?;
-        let sections_start = 40 + payload_len;
-        match (sections_start + decoded.directory.sections_len()).cmp(&file_len) {
-            std::cmp::Ordering::Greater => return Err(SnapshotError::Truncated),
-            std::cmp::Ordering::Less => return Err(SnapshotError::Corrupt("trailing bytes")),
-            std::cmp::Ordering::Equal => {}
-        }
+        let decoded = check_meta(&meta, stored_sum, file_len)?;
+        let sections_start = HEADER_LEN as u64 + payload_len;
         Ok(ShardedSnapshotReader {
             file,
             sections_start,
@@ -251,22 +252,10 @@ impl ShardedSnapshotReader {
 
     /// Reads, verifies, and decodes one shard's instance rows.
     pub fn read_shard(&mut self, shard: usize) -> Result<InstanceColumns, SnapshotError> {
-        let mut out = InstanceColumns::new();
-        self.read_shard_into(shard, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`read_shard`](Self::read_shard), appending into an existing column
-    /// set — the full-load path reserves once and appends every shard, so
-    /// peak memory is the final table plus a single section buffer.
-    pub fn read_shard_into(
-        &mut self,
-        shard: usize,
-        out: &mut InstanceColumns,
-    ) -> Result<(), SnapshotError> {
         if shard >= self.directory.n_shards() {
             return Err(SnapshotError::Corrupt("shard index out of range"));
         }
+        let mut out = InstanceColumns::new();
         read_section(
             &mut self.file,
             self.sections_start,
@@ -274,8 +263,9 @@ impl ShardedSnapshotReader {
             shard,
             self.entities.batches.len(),
             self.entities.workers.len(),
-            out,
-        )
+            &mut out,
+        )?;
+        Ok(out)
     }
 
     /// Runs the fused analytics pass over the shards *without ever
@@ -333,7 +323,7 @@ impl ShardedSnapshotReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{encode_sharded, Snapshot};
+    use crate::Snapshot;
     use crowd_sim::SimConfig;
     use std::path::PathBuf;
 
@@ -347,18 +337,21 @@ mod tests {
     }
 
     /// A snapshot big enough (> 2 × scan chunk rows) to span ≥ 3 shards.
-    fn multi_shard_snapshot() -> (Snapshot, Vec<u8>) {
+    fn multi_shard_snapshot(tag: &str) -> (Snapshot, Vec<u8>) {
         let cfg = SimConfig::new(31, 0.002);
         let ds = crowd_sim::simulate(&cfg);
         let derived = crate::warm::compute_derived(&ds, crowd_cluster::ClusterParams::default());
         let snap = Snapshot { dataset: ds, derived: Some(derived) };
-        let bytes = encode_sharded(&snap, FP, 100);
+        let path = std::env::temp_dir()
+            .join(format!("crowd-sharded-{tag}-written-{}.bin", std::process::id()));
+        let bytes = crate::writer::write_sharded(&path, &snap, FP, 100);
+        let _ = std::fs::remove_file(&path);
         (snap, bytes)
     }
 
     #[test]
     fn reader_round_trips_and_streamed_fused_matches_materialized() {
-        let (snap, bytes) = multi_shard_snapshot();
+        let (snap, bytes) = multi_shard_snapshot("roundtrip");
         let path = write_tmp("roundtrip", &bytes);
 
         let mut reader = ShardedSnapshotReader::open(&path, FP).expect("opens");
@@ -378,8 +371,7 @@ mod tests {
         // The streamed fused scan is bit-identical to the fused scan over
         // the materialized study (Debug output covers every float).
         let streamed = reader.fused().expect("streamed scan");
-        let metrics = snap.derived.as_ref().unwrap().metrics.clone();
-        let study = crowd_analytics::Study::from_enrichment(snap.dataset.clone(), metrics);
+        let study = crowd_analytics::Study::new(snap.dataset.clone());
         assert_eq!(format!("{streamed:?}"), format!("{:?}", study.fused()));
 
         // Full load through the reader equals the byte-level decode.
@@ -392,7 +384,7 @@ mod tests {
 
     #[test]
     fn damaged_shard_fails_alone_and_names_itself() {
-        let (_, mut bytes) = multi_shard_snapshot();
+        let (_, mut bytes) = multi_shard_snapshot("damaged");
         // Locate shard 1's section through a pristine reader.
         let path = write_tmp("pristine", &bytes);
         let reader = ShardedSnapshotReader::open(&path, FP).expect("opens");
@@ -418,7 +410,7 @@ mod tests {
 
     #[test]
     fn open_rejects_fingerprint_truncation_and_trailing_junk() {
-        let (_, bytes) = multi_shard_snapshot();
+        let (_, bytes) = multi_shard_snapshot("open");
 
         let path = write_tmp("fp", &bytes);
         assert!(matches!(

@@ -4,12 +4,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crowd_ingest::{is_transient, Backoff, Clock, SystemClock};
+use crowd_core::ShardPlan;
 use crowd_sim::SimConfig;
 
-use crate::{
-    encode_sharded, fingerprint, ShardedSnapshotReader, Snapshot, SnapshotError, SnapshotWriter,
-};
+use crate::{fingerprint, ShardedSnapshotReader, Snapshot, SnapshotError, SnapshotWriter};
 
 /// Environment variable naming the default snapshot directory (the CLI's
 /// `--snapshot-dir` flag overrides it, `--no-snapshot` ignores it).
@@ -19,20 +17,18 @@ pub const ENV_DIR: &str = "CROWD_SNAPSHOT_DIR";
 ///
 /// Files are named `snap-<fingerprint:016x>.bin`, so distinct configs
 /// never collide and re-running a config overwrites its own entry. Writes
-/// go to a temporary sibling first and land via rename, so a crashed or
-/// concurrent writer can leave at worst a stale temp file, never a torn
-/// snapshot under the final name. Each save sweeps those stale temps
-/// first, transient IO errors are retried under a bounded backoff, and
-/// saves that callers swallow (warm start treats a read-only cache as
-/// cold-every-time) are counted for observability.
+/// go through a [`SnapshotWriter`] into temporary siblings and land via
+/// rename, so a crashed or concurrent writer can leave at worst a stale
+/// temp file, never a torn snapshot under the final name. Opening a writer
+/// sweeps those stale temps first, and writes that callers swallow (warm
+/// start treats a read-only cache as cold-every-time) are counted for
+/// observability.
 ///
 /// Clones share the swallowed-save counter, so the count survives the
 /// clone-per-call patterns the warm-start paths use.
 #[derive(Clone)]
 pub struct SnapshotStore {
     dir: PathBuf,
-    backoff: Backoff,
-    clock: Arc<dyn Clock>,
     swallowed: Arc<AtomicU64>,
     shards: usize,
 }
@@ -41,7 +37,6 @@ impl std::fmt::Debug for SnapshotStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotStore")
             .field("dir", &self.dir)
-            .field("backoff", &self.backoff)
             .field("shards", &self.shards)
             .field("swallowed", &self.swallowed_saves())
             .finish_non_exhaustive()
@@ -49,15 +44,9 @@ impl std::fmt::Debug for SnapshotStore {
 }
 
 impl SnapshotStore {
-    /// A store rooted at `dir` (created lazily on first save).
+    /// A store rooted at `dir` (created lazily by the first write).
     pub fn new(dir: impl Into<PathBuf>) -> SnapshotStore {
-        SnapshotStore {
-            dir: dir.into(),
-            backoff: Backoff::default(),
-            clock: Arc::new(SystemClock),
-            swallowed: Arc::new(AtomicU64::new(0)),
-            shards: 1,
-        }
+        SnapshotStore { dir: dir.into(), swallowed: Arc::new(AtomicU64::new(0)), shards: 1 }
     }
 
     /// A store rooted at `$CROWD_SNAPSHOT_DIR`, when set and non-empty.
@@ -65,21 +54,9 @@ impl SnapshotStore {
         std::env::var(ENV_DIR).ok().filter(|v| !v.is_empty()).map(SnapshotStore::new)
     }
 
-    /// Replaces the retry policy for transient save failures.
-    pub fn with_backoff(mut self, backoff: Backoff) -> SnapshotStore {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Replaces the clock backing retry delays (inject a
-    /// [`crowd_ingest::ManualClock`] in tests).
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> SnapshotStore {
-        self.clock = clock;
-        self
-    }
-
-    /// Sets how many instance shards [`save`](Self::save) partitions a
-    /// snapshot into (the `--shards` knob). A pure write-*layout* choice:
+    /// Sets how many instance shards [`open_writer`](Self::open_writer)
+    /// lays a snapshot out in (the `--shards` knob). A pure write-*layout*
+    /// choice:
     /// the fingerprint, the decoded contents, and every scan result are
     /// bit-identical at any shard count — only the granularity of partial
     /// reads and corruption isolation changes. Readers stream whatever
@@ -95,8 +72,6 @@ impl SnapshotStore {
     }
 
     /// The configured shard count (see [`with_shards`](Self::with_shards)).
-    /// The warm-start paths branch on `shards() > 1` to pick the streaming
-    /// build over the monolithic one.
     pub fn shards(&self) -> usize {
         self.shards
     }
@@ -124,10 +99,9 @@ impl SnapshotStore {
         ShardedSnapshotReader::open(self.path_for(cfg), fingerprint(cfg))
     }
 
-    /// Opens an incremental [`SnapshotWriter`] for `cfg` — the streaming
-    /// dual of [`save`](Self::save): shard sections land on disk as the
-    /// producer flushes them, the meta payload and directory are written
-    /// last, and the file publishes atomically on
+    /// Opens an incremental [`SnapshotWriter`] for `cfg`: shard sections
+    /// land on disk as the producer flushes them, the meta payload and
+    /// directory are written last, and the file publishes atomically on
     /// [`finish`](SnapshotWriter::finish).
     ///
     /// `planned_rows` sizes the shard layout up front (the store's shard
@@ -138,9 +112,18 @@ impl SnapshotStore {
         cfg: &SimConfig,
         planned_rows: usize,
     ) -> Result<SnapshotWriter, SnapshotError> {
+        self.open_writer_with(cfg, ShardPlan::new(planned_rows, self.shards).shard_rows())
+    }
+
+    /// [`open_writer`](Self::open_writer) with the shard size given
+    /// outright — a derived-parameter rewrite keeps the layout on disk.
+    pub(crate) fn open_writer_with(
+        &self,
+        cfg: &SimConfig,
+        shard_rows: usize,
+    ) -> Result<SnapshotWriter, SnapshotError> {
         std::fs::create_dir_all(&self.dir)?;
         self.sweep_stale();
-        let shard_rows = crowd_core::ShardPlan::new(planned_rows, self.shards).shard_rows();
         SnapshotWriter::create(self.path_for(cfg), fingerprint(cfg), shard_rows)
     }
 
@@ -165,33 +148,6 @@ impl SnapshotStore {
         swept
     }
 
-    /// Writes the snapshot for `cfg`, returning the final path.
-    ///
-    /// Stale temp files are swept first; transient IO errors
-    /// (`Interrupted`, `WouldBlock`) are retried under the store's
-    /// backoff; anything else is surfaced after cleaning up the temp.
-    pub fn save(&self, cfg: &SimConfig, snapshot: &Snapshot) -> Result<PathBuf, SnapshotError> {
-        std::fs::create_dir_all(&self.dir)?;
-        self.sweep_stale();
-        let path = self.path_for(cfg);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        let bytes = encode_sharded(snapshot, fingerprint(cfg), self.shards);
-        let mut retries = 0u32;
-        loop {
-            match std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, &path)) {
-                Ok(()) => return Ok(path),
-                Err(e) if is_transient(&e) && retries < self.backoff.max_retries => {
-                    self.clock.sleep(self.backoff.delay(retries));
-                    retries += 1;
-                }
-                Err(e) => {
-                    let _ = std::fs::remove_file(&tmp);
-                    return Err(e.into());
-                }
-            }
-        }
-    }
-
     /// Records a save failure the caller swallowed (fell back to running
     /// cold). The warm-start paths call this so degraded caches are
     /// observable instead of silent.
@@ -209,6 +165,20 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crowd_core::dataset::Dataset;
+    use crowd_core::ShardSink;
+
+    /// Writes `cfg`'s dataset through the store's own writer, one flush
+    /// per planned shard.
+    fn write(store: &SnapshotStore, cfg: &SimConfig) -> Result<(Dataset, PathBuf), SnapshotError> {
+        let ds = crowd_sim::simulate(cfg);
+        let mut writer = store.open_writer(cfg, ds.instances.len())?;
+        for range in ShardPlan::new(ds.instances.len(), store.shards()).ranges() {
+            writer.flush(range.start, &ds.instances.clone_range(range))?;
+        }
+        let path = writer.finish(&ds, None)?;
+        Ok((ds, path))
+    }
 
     fn temp_store(tag: &str) -> SnapshotStore {
         let dir =
@@ -218,15 +188,14 @@ mod tests {
     }
 
     #[test]
-    fn save_then_load_hits() {
+    fn write_then_load_hits() {
         let store = temp_store("hit");
         let cfg = SimConfig::tiny(11);
         assert!(matches!(store.load(&cfg), Err(SnapshotError::Io(_))), "cold miss");
-        let snap = Snapshot { dataset: crowd_sim::simulate(&cfg), derived: None };
-        let path = store.save(&cfg, &snap).expect("save");
-        assert!(path.exists());
+        let (ds, path) = write(&store, &cfg).expect("write");
+        assert_eq!(path, store.path_for(&cfg));
         let back = store.load(&cfg).expect("warm hit");
-        assert_eq!(back.dataset.instances, snap.dataset.instances);
+        assert_eq!(back.dataset.instances, ds.instances);
         // A different config is a different key: still a miss.
         assert!(store.load(&SimConfig::tiny(12)).is_err());
         let _ = std::fs::remove_dir_all(store.dir());
@@ -244,7 +213,7 @@ mod tests {
     }
 
     #[test]
-    fn save_sweeps_stale_temps_but_not_live_snapshots() {
+    fn opening_a_writer_sweeps_stale_temps_but_not_live_snapshots() {
         let store = temp_store("sweep");
         std::fs::create_dir_all(store.dir()).unwrap();
         let stale = store.dir().join("snap-00000000deadbeef.tmp.99999999");
@@ -253,8 +222,7 @@ mod tests {
         std::fs::write(&own, b"in flight").unwrap();
 
         let cfg = SimConfig::tiny(13);
-        let snap = Snapshot { dataset: crowd_sim::simulate(&cfg), derived: None };
-        store.save(&cfg, &snap).expect("save");
+        write(&store, &cfg).expect("write");
 
         assert!(!stale.exists(), "stale foreign temp removed");
         assert!(own.exists(), "this process's temp is never swept");
@@ -288,8 +256,7 @@ mod tests {
         std::fs::write(&blocker, b"not a directory").unwrap();
         let store = SnapshotStore::new(blocker.join("store"));
         let cfg = SimConfig::tiny(14);
-        let snap = Snapshot { dataset: crowd_sim::simulate(&cfg), derived: None };
-        assert!(matches!(store.save(&cfg, &snap), Err(SnapshotError::Io(_))));
+        assert!(matches!(store.open_writer(&cfg, 1), Err(SnapshotError::Io(_))));
         let _ = std::fs::remove_file(&blocker);
     }
 }

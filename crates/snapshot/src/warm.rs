@@ -1,53 +1,49 @@
 //! Warm-start entry points: `Study` construction with read-on-hit /
 //! write-on-miss snapshot caching.
 //!
-//! The decision tree, in full:
+//! Every store-backed build runs one streamed pipeline (DESIGN.md §16); a
+//! store of one shard is simply that pipeline's one-shard layout, and
+//! nothing here branches on the shard count. The decision tree, in full:
 //!
 //! * no store → plain cold build (simulate + cluster + enrich), nothing
 //!   touched on disk;
-//! * snapshot loads and its derived artifacts match the requested cluster
-//!   parameters → rebuild the `Study` from the persisted enrichment and go
-//!   straight to the fused scan: no simulation, no shingling, no LSH, no
-//!   feature extraction;
-//! * snapshot loads but was derived with *different* cluster parameters →
-//!   reuse the dataset (simulation still skipped), recompute clustering and
-//!   enrichment, rewrite the snapshot with the new artifacts;
-//! * snapshot missing or fails **any** integrity check → silently fall
-//!   back to a fresh simulation and overwrite the snapshot with a valid
-//!   one. Correctness never depends on the cache; a corrupt file costs one
-//!   cold run, not a wrong answer.
-//!
-//! Save errors are deliberately swallowed too (a read-only cache directory
-//! degrades to cold-every-time, it does not break the run).
-//!
-//! ## Streaming mode (`shards > 1`)
-//!
-//! When the store is configured with more than one shard
-//! ([`SnapshotStore::with_shards`]), both halves of the tree switch to the
-//! bounded-memory pipeline (DESIGN.md §16) with the **same** decision
-//! structure and bit-identical results:
-//!
-//! * cold → [`crowd_sim::prepare_streamed`] builds entities first, then
-//!   the instance stream is forked shard-by-shard into a
-//!   [`SnapshotWriter`](crate::SnapshotWriter) and a
-//!   [`StreamingEnricher`], so the full instance table never exists in
-//!   memory at once;
-//! * warm full hit → only the meta payload (entities + enrichment) loads;
-//!   the instance shards stay on disk, and the `Study` is *columns
-//!   optional* — its fused aggregates stream back through a
+//! * full hit (the snapshot opens and its derived artifacts match the
+//!   requested cluster parameters) → only the meta payload loads
+//!   (entities + persisted enrichment): no simulation, no shingling, no
+//!   LSH, no feature extraction. The `Study` is *columns optional*; its
+//!   fused scan streams the shard sections back through a
 //!   [`ShardedSnapshotReader`](crate::ShardedSnapshotReader) on first use;
-//! * every failure (unwritable store, mid-build IO error, corrupt or
-//!   mismatched snapshot) falls back to the monolithic path and counts a
-//!   swallowed save where one was skipped.
+//! * derived mismatch (other parameters, or none persisted) → the on-disk
+//!   shards stream through the same [`SnapshotWriter`] +
+//!   [`StreamingEnricher`] fork the cold build uses: simulation is
+//!   skipped, clustering and enrichment re-run, and the snapshot is
+//!   rewritten in its existing layout. Every read finishes before the
+//!   rewrite publishes;
+//! * miss, or **any** integrity failure → the streamed cold build:
+//!   [`crowd_sim::prepare_streamed`] builds entities first, then the
+//!   instance stream is forked shard-by-shard into the writer and the
+//!   enricher, so the full instance table never exists in memory at once;
+//! * any write failure → one cold fallback,
+//!   `Study::with_cluster_params(simulate(cfg), params)`, counted in
+//!   [`SnapshotStore::swallowed_saves`]. A read-only cache directory
+//!   degrades to cold-every-time; it does not break the run.
+//!
+//! Correctness never depends on the cache. A shard section damaged after
+//! the warm start opened the file surfaces in the lazy fused scan, which
+//! rebuilds the snapshot once, in the same run, and streams the fresh
+//! file; should that fail too, the scan answers from an in-memory
+//! re-simulation and never retries. A corrupt file costs one cold run,
+//! not a wrong answer.
 
+use crowd_analytics::fused::{compute, Fused};
 use crowd_analytics::study::{enrich_batches, sampled_docs, StreamingEnricher};
-use crowd_analytics::Study;
-use crowd_cluster::{ClusterParams, Clusterer, Clustering};
+use crowd_analytics::{BatchMetrics, Study};
+use crowd_cluster::{ClusterParams, Clusterer, Clustering, Signature};
 use crowd_core::dataset::{Dataset, InstanceColumns};
 use crowd_core::shard::ShardSink;
 use crowd_sim::{simulate, SimConfig};
 
-use crate::{Derived, Snapshot, SnapshotError, SnapshotStore};
+use crate::{Derived, ShardedSnapshotReader, SnapshotError, SnapshotStore, SnapshotWriter};
 
 /// [`Study::new`] with snapshot caching: read-on-hit, write-on-miss.
 ///
@@ -67,123 +63,127 @@ pub fn study_with_params(
     let Some(store) = store else {
         return Study::with_cluster_params(simulate(cfg), params);
     };
-    if store.shards() > 1 {
-        return study_streamed(cfg, params, store);
-    }
-    match store.load(cfg) {
-        Ok(Snapshot { dataset, derived }) => match derived {
-            // Full hit: dataset + artifacts for exactly these parameters.
-            Some(d) if d.params == params => Study::from_enrichment(dataset, d.metrics),
-            // Dataset hit, derived mismatch (other params, or absent):
-            // skip simulation, recompute the artifacts, rewrite.
-            _ => build_and_persist(cfg, params, store, dataset),
-        },
-        // Miss or integrity failure: fresh simulate, rewrite.
-        Err(_) => build_and_persist(cfg, params, store, simulate(cfg)),
+    let built = match store.open_reader(cfg) {
+        Ok(reader) if reader.derived().is_some_and(|d| d.params == params) => {
+            let n_rows = reader.directory().n_rows() as usize;
+            let (entities, derived, _) = reader.into_meta();
+            let metrics = derived.expect("params just matched on this derived section").metrics;
+            Ok(Built { entities, metrics, n_rows })
+        }
+        Ok(reader) => rederive(cfg, params, store, reader),
+        Err(_) => build_streamed(cfg, params, store),
+    };
+    match built {
+        Ok(Built { entities, metrics, n_rows }) => Study::from_enrichment_streamed(
+            entities,
+            metrics,
+            n_rows,
+            fused_source(cfg, params, store),
+        ),
+        Err(_) => {
+            store.note_swallowed_save();
+            Study::with_cluster_params(simulate(cfg), params)
+        }
     }
 }
 
-/// The `shards > 1` mirror of [`study_with_params`]: same decision tree,
-/// but neither the warm-hit nor the cold-miss arm ever materializes the
-/// full instance table.
-fn study_streamed(cfg: &SimConfig, params: ClusterParams, store: &SnapshotStore) -> Study {
-    if let Ok(reader) = store.open_reader(cfg) {
-        let n_rows = reader.directory().n_rows() as usize;
-        if reader.derived().map(|d| d.params == params) == Some(true) {
-            // Full hit: entities + persisted enrichment only. The rows stay
-            // on disk; the fused scan streams them back on first use.
-            let (entities, derived, _) = reader.into_meta();
-            let d = derived.expect("params just matched on this derived section");
-            return Study::from_enrichment_streamed(
-                entities,
-                d.metrics,
-                n_rows,
-                fused_source(cfg, store),
-            );
-        }
-        // Derived mismatch: the dataset is still good, so load it (one
-        // shard buffer at a time) and rewrite with fresh artifacts. A
-        // shard that fails integrity drops to the cold rebuild below.
-        if let Ok(snap) = reader.into_snapshot() {
-            return build_and_persist(cfg, params, store, snap.dataset);
-        }
-    }
-    build_streamed(cfg, params, store)
+/// What a published (or fully hit) snapshot gives the columns-optional
+/// `Study`: the entity tables, the per-batch enrichment, and the row count.
+struct Built {
+    entities: Dataset,
+    metrics: Vec<BatchMetrics>,
+    n_rows: usize,
 }
 
 /// Streaming cold build: entities are generated first, clustering and
 /// shard layout come from them alone, and then each finished shard of
-/// instance rows is flushed to the [`SnapshotWriter`](crate::SnapshotWriter)
-/// *and* folded into the [`StreamingEnricher`] before the next shard is
-/// produced. Peak memory is the entity tables plus ~one shard of rows.
-fn build_streamed(cfg: &SimConfig, params: ClusterParams, store: &SnapshotStore) -> Study {
+/// instance rows is forked into the snapshot writer and the enricher
+/// before the next shard is produced. Peak memory is the entity tables
+/// plus ~one shard of rows. An `Err` is always a write failure.
+fn build_streamed(
+    cfg: &SimConfig,
+    params: ClusterParams,
+    store: &SnapshotStore,
+) -> Result<Built, SnapshotError> {
     let sim = crowd_sim::prepare_streamed(cfg);
-    let mut writer = match store.open_writer(cfg, sim.planned_rows()) {
-        Ok(w) => w,
-        Err(_) => {
-            // Nowhere to stream shards to: degrade to the monolithic cold
-            // build, counted like every other swallowed save.
-            store.note_swallowed_save();
-            return Study::with_cluster_params(simulate(cfg), params);
+    let writer = store.open_writer(cfg, sim.planned_rows())?;
+    let mut fork = Fork::new(writer, sim.entities(), params);
+    let shard_rows = fork.writer.shard_rows();
+    match sim.run(cfg, shard_rows, &mut fork) {
+        Ok(entities) => fork.publish(entities),
+        Err(e) => {
+            fork.writer.abort();
+            Err(e)
         }
-    };
+    }
+}
 
-    // Clustering needs only the batch HTML, which lives in the entity
-    // tables — it runs before a single instance row exists.
-    let clusterer = Clusterer::new(params);
-    let (_ids, docs) = sampled_docs(sim.entities());
-    let signatures = clusterer.signatures(&docs);
-    let clustering = clusterer.cluster_signatures(&signatures);
-
-    let mut enricher = StreamingEnricher::new(sim.entities());
-    let shard_rows = writer.shard_rows();
-    let mut sink = BuildSink { writer: &mut writer, enricher: &mut enricher };
-    let entities = match sim.run(cfg, shard_rows, &mut sink) {
-        Ok(entities) => entities,
-        Err(_) => {
-            // Disk died mid-build. The writer's temps are cleaned up and
-            // the run completes monolithically — correctness never depends
-            // on the cache.
-            writer.abort();
-            store.note_swallowed_save();
-            return Study::with_clustering(simulate(cfg), clustering);
+/// Derived-parameter mismatch: replays the on-disk shards through a fresh
+/// fork, rewriting the snapshot in the layout it already has. A shard
+/// that fails its integrity check abandons the rewrite for the cold
+/// build; an `Err` is always a write failure.
+fn rederive(
+    cfg: &SimConfig,
+    params: ClusterParams,
+    store: &SnapshotStore,
+    mut reader: ShardedSnapshotReader,
+) -> Result<Built, SnapshotError> {
+    let writer = store.open_writer_with(cfg, reader.directory().shard_rows() as usize)?;
+    let mut fork = Fork::new(writer, reader.entities(), params);
+    for k in 0..reader.directory().n_shards() {
+        let base = reader.directory().base_row(k) as usize;
+        let Ok(shard) = reader.read_shard(k) else {
+            fork.writer.abort();
+            return build_streamed(cfg, params, store);
+        };
+        if let Err(e) = fork.flush(base, &shard) {
+            fork.writer.abort();
+            return Err(e);
         }
-    };
+    }
+    let (entities, _, _) = reader.into_meta(); // closes the file before the rename
+    fork.publish(entities)
+}
 
-    let n_rows = writer.rows();
-    let metrics = enricher.finish(&entities, &clustering);
-    let derived = Derived {
-        params,
-        labels: clustering.labels().to_vec(),
-        n_clusters: clustering.n_clusters(),
-        signatures,
-        metrics,
-    };
-    match writer.finish(&entities, Some(&derived)) {
-        Ok(_) => Study::from_enrichment_streamed(
-            entities,
-            derived.metrics,
-            n_rows,
-            fused_source(cfg, store),
-        ),
-        Err(_) => {
-            // The shards never published, so the columns-optional study
-            // would have nothing to stream from: re-simulate the rows (the
-            // enrichment is already computed and bit-identical).
-            store.note_swallowed_save();
-            Study::from_enrichment(simulate(cfg), derived.metrics)
-        }
+/// The two sinks of one streamed build, plus the clustering they finish
+/// with. Clustering needs only the batch HTML, which lives in the entity
+/// tables, so it runs before a single instance row arrives.
+struct Fork {
+    writer: SnapshotWriter,
+    enricher: StreamingEnricher,
+    params: ClusterParams,
+    signatures: Vec<Signature>,
+    clustering: Clustering,
+}
+
+impl Fork {
+    fn new(writer: SnapshotWriter, entities: &Dataset, params: ClusterParams) -> Fork {
+        let clusterer = Clusterer::new(params);
+        let (_ids, docs) = sampled_docs(entities);
+        let signatures = clusterer.signatures(&docs);
+        let clustering = clusterer.cluster_signatures(&signatures);
+        Fork { writer, enricher: StreamingEnricher::new(entities), params, signatures, clustering }
+    }
+
+    /// Finishes the enrichment and publishes the snapshot with its derived
+    /// artifacts.
+    fn publish(self, entities: Dataset) -> Result<Built, SnapshotError> {
+        let n_rows = self.writer.rows();
+        let derived = Derived {
+            params: self.params,
+            labels: self.clustering.labels().to_vec(),
+            n_clusters: self.clustering.n_clusters(),
+            signatures: self.signatures,
+            metrics: self.enricher.finish(&entities, &self.clustering),
+        };
+        self.writer.finish(&entities, Some(&derived))?;
+        Ok(Built { entities, metrics: derived.metrics, n_rows })
     }
 }
 
 /// Forks each finished shard to the snapshot writer and the streaming
 /// enricher without cloning it — both sinks see the same borrow.
-struct BuildSink<'a> {
-    writer: &'a mut crate::SnapshotWriter,
-    enricher: &'a mut StreamingEnricher,
-}
-
-impl ShardSink for BuildSink<'_> {
+impl ShardSink for Fork {
     type Error = SnapshotError;
 
     fn flush(&mut self, base: usize, shard: &InstanceColumns) -> Result<(), SnapshotError> {
@@ -197,43 +197,27 @@ impl ShardSink for BuildSink<'_> {
 
 /// The fused provider a columns-optional `Study` defers to: re-open the
 /// snapshot and stream the shard sections through the scan. If the file
-/// has been damaged or removed since the study was built, fall back to a
-/// full re-simulation — one slow (but correct) answer, never a wrong one.
+/// has been damaged or removed since the study was built, rebuild it once
+/// and stream the fresh file; if that fails too, answer from an in-memory
+/// re-simulation — one slow (but correct) answer, never a wrong one.
 fn fused_source(
-    cfg: &SimConfig,
-    store: &SnapshotStore,
-) -> impl Fn(&Study) -> crowd_analytics::fused::Fused + Send + Sync + 'static {
-    let (cfg, store) = (cfg.clone(), store.clone());
-    move |study| match store.open_reader(&cfg).and_then(|mut r| r.fused()) {
-        Ok(fused) => fused,
-        Err(_) => {
-            let metrics: Vec<_> = study.enriched_batches().cloned().collect();
-            let full = Study::from_enrichment(simulate(&cfg), metrics);
-            crowd_analytics::fused::compute(&full)
-        }
-    }
-}
-
-/// Clusters and enriches `ds`, persists dataset + artifacts, and returns
-/// the built `Study`. The snapshot is encoded *before* the dataset moves
-/// into the `Study`, so nothing is cloned on the way to disk.
-fn build_and_persist(
     cfg: &SimConfig,
     params: ClusterParams,
     store: &SnapshotStore,
-    ds: Dataset,
-) -> Study {
-    let derived = compute_derived(&ds, params);
-    let snapshot = Snapshot { dataset: ds, derived: Some(derived) };
-    // Swallow save failures (a read-only cache degrades to cold-every-time,
-    // it does not break the run) — but count them so the degradation is
-    // observable through `SnapshotStore::swallowed_saves`.
-    if store.save(cfg, &snapshot).is_err() {
-        store.note_swallowed_save();
+) -> impl Fn(&Study) -> Fused + Send + Sync + 'static {
+    let (cfg, store) = (cfg.clone(), store.clone());
+    move |_study| {
+        let stream = || store.open_reader(&cfg).and_then(|mut r| r.fused());
+        stream()
+            .or_else(|_| match build_streamed(&cfg, params, &store) {
+                Ok(_) => stream(),
+                Err(e) => {
+                    store.note_swallowed_save();
+                    Err(e)
+                }
+            })
+            .unwrap_or_else(|_| compute(&Study::with_cluster_params(simulate(&cfg), params)))
     }
-    let Snapshot { dataset, derived } = snapshot;
-    let d = derived.expect("derived was just computed");
-    Study::from_enrichment(dataset, d.metrics)
 }
 
 /// Computes every derived artifact the snapshot persists: minhash
@@ -255,182 +239,148 @@ pub fn compute_derived(ds: &Dataset, params: ClusterParams) -> Derived {
     }
 }
 
-/// Rebuilds the [`Clustering`] a snapshot's derived section describes.
-pub fn clustering_from_derived(derived: &Derived) -> Option<Clustering> {
-    Clustering::from_parts(derived.labels.clone(), derived.n_clusters)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn temp_store(tag: &str) -> SnapshotStore {
-        let dir =
-            std::env::temp_dir().join(format!("crowd-snapshot-warm-{tag}-{}", std::process::id()));
+    /// Shard counts every store-backed test runs at: the one-shard layout
+    /// and a genuinely multi-shard one.
+    const SHARDS: [usize; 2] = [1, 3];
+
+    /// Big enough (> 2 × scan chunk rows) that three shards are real.
+    fn cfg(seed: u64) -> SimConfig {
+        SimConfig::new(seed, 0.002)
+    }
+
+    fn temp_store(tag: &str, shards: usize) -> SnapshotStore {
+        let dir = std::env::temp_dir()
+            .join(format!("crowd-snapshot-warm-{tag}-{shards}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        SnapshotStore::new(dir)
+        SnapshotStore::new(dir).with_shards(shards)
     }
 
+    fn metrics(s: &Study) -> Vec<BatchMetrics> {
+        s.enriched_batches().cloned().collect()
+    }
+
+    /// Cold build and warm hit agree bitwise with the no-store build on
+    /// every derived quantity, at every shard count, and neither
+    /// store-backed study ever held the instance table.
     #[test]
-    fn warm_equals_cold_bitwise() {
-        let cfg = SimConfig::tiny(21);
+    fn cold_and_warm_match_the_no_store_build_bitwise() {
+        let cfg = cfg(21);
         let baseline = Study::new(simulate(&cfg));
+        for shards in SHARDS {
+            let store = temp_store("eq", shards);
+            let cold = study_from_config(&cfg, Some(&store)); // miss: streams build + write
+            assert!(store.path_for(&cfg).exists(), "miss wrote a snapshot");
+            let warm = study_from_config(&cfg, Some(&store)); // hit: meta-only load
+            assert_eq!(store.swallowed_saves(), 0, "nothing degraded");
+            let reader = store.open_reader(&cfg).unwrap();
+            assert_eq!(reader.directory().n_shards(), shards, "layout follows the store");
 
-        let store = temp_store("eq");
-        let cold = study_from_config(&cfg, Some(&store)); // miss: writes
-        assert!(store.path_for(&cfg).exists(), "miss wrote a snapshot");
-        let warm = study_from_config(&cfg, Some(&store)); // hit: reads
-
-        for s in [&cold, &warm] {
-            assert_eq!(s.dataset().instances, baseline.dataset().instances);
-            assert_eq!(s.clusters().len(), baseline.clusters().len());
-            let labels =
-                |st: &Study| -> Vec<u32> { st.enriched_batches().map(|m| m.cluster).collect() };
-            assert_eq!(labels(s), labels(&baseline));
+            for s in [&cold, &warm] {
+                assert!(!s.columns_resident(), "store-backed studies are columns-optional");
+                assert_eq!(s.n_instances(), baseline.n_instances());
+                assert_eq!(metrics(s), metrics(&baseline));
+                assert_eq!(s.fused(), baseline.fused(), "fused scan is bit-identical");
+            }
+            let _ = std::fs::remove_dir_all(store.dir());
         }
-        let _ = std::fs::remove_dir_all(store.dir());
     }
 
+    /// Changing cluster parameters reuses the on-disk dataset, rewrites the
+    /// derived section in the same layout, and matches a cold run at the
+    /// new parameters.
     #[test]
     fn param_change_reuses_dataset_and_rewrites() {
-        let cfg = SimConfig::tiny(22);
-        let store = temp_store("params");
-        let _ = study_from_config(&cfg, Some(&store));
-
-        // Different clustering parameters: the dataset is reused, the
-        // derived section is recomputed and rewritten.
+        let cfg = cfg(22);
         let loose = ClusterParams { threshold: 0.3, ..ClusterParams::default() };
-        let relaxed = study_with_params(&cfg, loose, Some(&store));
-        let reloaded = store.load(&cfg).expect("rewritten snapshot loads");
-        let d = reloaded.derived.expect("derived present");
-        assert_eq!(d.params, loose);
-        assert_eq!(d.n_clusters, relaxed.clusters().len());
-        // And it must match a cold run at those parameters.
         let cold = Study::with_cluster_params(simulate(&cfg), loose);
-        assert_eq!(relaxed.clusters().len(), cold.clusters().len());
-        let _ = std::fs::remove_dir_all(store.dir());
+        for shards in SHARDS {
+            let store = temp_store("params", shards);
+            let _ = study_from_config(&cfg, Some(&store));
+
+            let relaxed = study_with_params(&cfg, loose, Some(&store));
+            let reloaded = store.load(&cfg).expect("rewritten snapshot loads");
+            let d = reloaded.derived.expect("derived present");
+            assert_eq!(d.params, loose);
+            assert_eq!(d.n_clusters, relaxed.clusters().len());
+            assert_eq!(reloaded.dataset.instances, simulate(&cfg).instances);
+            assert_eq!(store.open_reader(&cfg).unwrap().directory().n_shards(), shards);
+            assert_eq!(metrics(&relaxed), metrics(&cold));
+            assert_eq!(relaxed.fused(), cold.fused());
+            let _ = std::fs::remove_dir_all(store.dir());
+        }
     }
 
+    /// With nowhere to write, every shard count degrades to the one cold
+    /// fallback and counts the swallow.
     #[test]
     fn unwritable_store_degrades_to_cold_and_counts_the_swallow() {
-        let blocker = std::env::temp_dir()
-            .join(format!("crowd-snapshot-warm-blocker-{}", std::process::id()));
-        std::fs::write(&blocker, b"not a directory").unwrap();
-        let store = SnapshotStore::new(blocker.join("store"));
         let cfg = SimConfig::tiny(24);
-        let study = study_from_config(&cfg, Some(&store));
-        // Correctness never depends on the cache …
-        assert_eq!(study.dataset().instances, simulate(&cfg).instances);
-        // … but the degradation is counted, not silent.
-        assert_eq!(store.swallowed_saves(), 1);
-        let _ = std::fs::remove_file(&blocker);
-    }
-
-    /// Streamed cold build, streamed warm hit, and the monolithic cold
-    /// build agree bitwise on every derived quantity, and neither streamed
-    /// study ever held the instance table.
-    #[test]
-    fn streamed_cold_and_warm_match_monolithic_bitwise() {
-        let cfg = SimConfig::tiny(25);
-        let baseline = Study::new(simulate(&cfg));
-        let metrics = |s: &Study| -> Vec<_> { s.enriched_batches().cloned().collect() };
-
-        let store = temp_store("streamed-eq").with_shards(4);
-        let cold = study_from_config(&cfg, Some(&store)); // miss: streams build + write
-        assert!(store.path_for(&cfg).exists(), "streamed miss wrote a snapshot");
-        assert_eq!(store.swallowed_saves(), 0, "nothing degraded");
-        let warm = study_from_config(&cfg, Some(&store)); // hit: meta-only load
-
-        for s in [&cold, &warm] {
-            assert!(!s.columns_resident(), "streamed studies are columns-optional");
-            assert_eq!(s.n_instances(), baseline.n_instances());
-            assert_eq!(metrics(s), metrics(&baseline));
-            assert_eq!(s.fused(), baseline.fused(), "fused scan is bit-identical");
+        for shards in SHARDS {
+            let blocker = std::env::temp_dir()
+                .join(format!("crowd-snapshot-warm-blocker-{shards}-{}", std::process::id()));
+            std::fs::write(&blocker, b"not a directory").unwrap();
+            let store = SnapshotStore::new(blocker.join("store")).with_shards(shards);
+            let study = study_from_config(&cfg, Some(&store));
+            // Correctness never depends on the cache …
+            assert!(study.columns_resident(), "fallback is the in-memory cold build");
+            assert_eq!(study.dataset().instances, simulate(&cfg).instances);
+            // … but the degradation is counted, not silent.
+            assert_eq!(store.swallowed_saves(), 1);
+            let _ = std::fs::remove_file(&blocker);
         }
-        // The streamed snapshot is byte-identical to a monolithic save at
-        // the same shard count.
-        let streamed_bytes = std::fs::read(store.path_for(&cfg)).unwrap();
-        let snap = Snapshot {
-            dataset: simulate(&cfg),
-            derived: Some(compute_derived(&simulate(&cfg), ClusterParams::default())),
-        };
-        let monolithic = crate::encode_sharded(&snap, crate::fingerprint(&cfg), 4);
-        assert_eq!(streamed_bytes, monolithic);
-        let _ = std::fs::remove_dir_all(store.dir());
     }
 
-    /// A corrupt snapshot under the final name is refused by the open
-    /// checks and the streamed warm start rebuilds (and rewrites) cleanly.
+    /// A torn file under the final name is refused by the open checks and
+    /// the warm start rebuilds (and rewrites) it cleanly.
     #[test]
-    fn streamed_warm_start_survives_a_corrupt_snapshot() {
-        let cfg = SimConfig::tiny(26);
-        let store = temp_store("streamed-corrupt").with_shards(3);
-        let _ = study_from_config(&cfg, Some(&store));
-        let path = store.path_for(&cfg);
-        let pristine = std::fs::read(&path).unwrap();
+    fn torn_snapshot_is_rebuilt() {
+        let cfg = cfg(26);
+        for shards in SHARDS {
+            let store = temp_store("torn", shards);
+            let _ = study_from_config(&cfg, Some(&store));
+            let path = store.path_for(&cfg);
+            let pristine = std::fs::read(&path).unwrap();
 
-        // Torn final bytes: the loader refuses with a typed error, never a
-        // partial dataset.
-        std::fs::write(&path, &pristine[..pristine.len() - 11]).unwrap();
-        assert!(matches!(
-            store.open_reader(&cfg).and_then(|r| r.into_snapshot()),
-            Err(crate::SnapshotError::Truncated)
-        ));
-        let rebuilt = study_from_config(&cfg, Some(&store));
-        assert_eq!(rebuilt.n_instances(), simulate(&cfg).instances.len());
-        assert_eq!(std::fs::read(&path).unwrap(), pristine, "fallback rewrote the snapshot");
-
-        // Flipped byte inside a shard section: meta verifies, the damaged
-        // shard is refused by its own checksum when the fused scan streams.
-        let mut bent = pristine.clone();
-        let at = bent.len() - 20;
-        bent[at] ^= 0x40;
-        std::fs::write(&path, &bent).unwrap();
-        let warm = study_from_config(&cfg, Some(&store));
-        // The warm hit loaded only meta (valid), so the corruption
-        // surfaces inside `fused_source`, which re-simulates.
-        assert_eq!(warm.fused(), Study::new(simulate(&cfg)).fused());
-        let _ = std::fs::remove_dir_all(store.dir());
+            std::fs::write(&path, &pristine[..pristine.len() - 11]).unwrap();
+            assert!(matches!(store.open_reader(&cfg), Err(SnapshotError::Truncated)));
+            let rebuilt = study_from_config(&cfg, Some(&store));
+            assert_eq!(rebuilt.n_instances(), simulate(&cfg).instances.len());
+            assert_eq!(std::fs::read(&path).unwrap(), pristine, "fallback rewrote the snapshot");
+            let _ = std::fs::remove_dir_all(store.dir());
+        }
     }
 
-    /// `shards > 1` with nowhere to write degrades to the monolithic cold
-    /// build and counts the swallow — same contract as the shards=1 path.
+    /// A shard section damaged behind a valid meta payload passes the warm
+    /// start's open checks and surfaces in the lazy fused scan. That same
+    /// run must answer exactly and leave a repaired snapshot behind.
     #[test]
-    fn streamed_unwritable_store_degrades_to_cold() {
-        let blocker = std::env::temp_dir()
-            .join(format!("crowd-snapshot-warm-sblocker-{}", std::process::id()));
-        std::fs::write(&blocker, b"not a directory").unwrap();
-        let store = SnapshotStore::new(blocker.join("store")).with_shards(8);
-        let cfg = SimConfig::tiny(27);
-        let study = study_from_config(&cfg, Some(&store));
-        assert!(study.columns_resident(), "fallback is the monolithic build");
-        assert_eq!(study.dataset().instances, simulate(&cfg).instances);
-        assert_eq!(store.swallowed_saves(), 1);
-        let _ = std::fs::remove_file(&blocker);
-    }
+    fn damaged_shard_is_repaired_by_the_run_that_finds_it() {
+        let cfg = cfg(27);
+        let baseline = Study::new(simulate(&cfg));
+        for shards in SHARDS {
+            let store = temp_store("repair", shards);
+            let _ = study_from_config(&cfg, Some(&store));
+            let path = store.path_for(&cfg);
+            let mut bytes = std::fs::read(&path).unwrap();
+            let reader = store.open_reader(&cfg).unwrap();
+            let meta_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
+            let last = reader.directory().n_shards() - 1;
+            let at = crate::HEADER_LEN as u64
+                + meta_len
+                + reader.directory().sections()[..last].iter().map(|s| s.byte_len).sum::<u64>();
+            drop(reader);
+            bytes[at as usize + 16] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
 
-    /// Changing cluster parameters against a streamed snapshot reuses the
-    /// on-disk dataset and rewrites the derived section, like shards=1.
-    #[test]
-    fn streamed_param_change_reuses_dataset_and_rewrites() {
-        let cfg = SimConfig::tiny(28);
-        let store = temp_store("streamed-params").with_shards(4);
-        let _ = study_from_config(&cfg, Some(&store));
-
-        let loose = ClusterParams { threshold: 0.3, ..ClusterParams::default() };
-        let relaxed = study_with_params(&cfg, loose, Some(&store));
-        let d = store.load(&cfg).expect("rewritten").derived.expect("derived present");
-        assert_eq!(d.params, loose);
-        assert_eq!(d.n_clusters, relaxed.clusters().len());
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn clustering_round_trips_through_derived() {
-        let ds = simulate(&SimConfig::tiny(23));
-        let derived = compute_derived(&ds, ClusterParams::default());
-        let clustering = clustering_from_derived(&derived).expect("valid labels");
-        assert_eq!(clustering.labels(), &derived.labels[..]);
-        assert_eq!(clustering.n_clusters(), derived.n_clusters);
+            let warm = study_from_config(&cfg, Some(&store));
+            assert_eq!(warm.fused(), baseline.fused(), "shards={shards}");
+            let repaired = store.load(&cfg).expect("the run rewrote the snapshot");
+            assert_eq!(repaired.dataset.instances, baseline.dataset().instances);
+            let _ = std::fs::remove_dir_all(store.dir());
+        }
     }
 }

@@ -15,8 +15,7 @@
 //!
 //! ## Crash safety
 //!
-//! The same discipline as `crowd-ingest` exports and
-//! [`SnapshotStore::save`](crate::SnapshotStore::save): nothing ever
+//! The same discipline as `crowd-ingest` exports: nothing ever
 //! appears under the final `snap-<fp>.bin` name except via `rename` of a
 //! fully written temp. A writer killed at *any* point — between shard
 //! flushes, between the sections and the meta/directory assembly, or
@@ -37,7 +36,7 @@ use crowd_core::shard::ShardSink;
 use crowd_core::time::Timestamp;
 
 use crate::sharded::{ShardDirectory, ShardSectionInfo};
-use crate::{codec, format, Derived, SnapshotError, FORMAT_VERSION, MAGIC};
+use crate::{codec, Derived, SnapshotError};
 
 /// Streams per-shard instance sections to disk as they complete, then
 /// writes the meta payload + shard directory last and publishes the file
@@ -114,11 +113,6 @@ impl SnapshotWriter {
         self.shard_rows
     }
 
-    /// Shard sections written so far.
-    pub fn n_shards(&self) -> usize {
-        self.infos.len()
-    }
-
     /// Writes the meta payload (entities, optional derived artifacts, the
     /// shard directory built from the actual flush records, and the
     /// running `time_max` joined with the entity tables') plus the
@@ -137,17 +131,13 @@ impl SnapshotWriter {
             ShardDirectory::from_parts(self.n_rows as u64, self.shard_rows as u64, self.infos)
                 .expect("flush keeps every shard full except the last");
         let time_max = [self.time_max, entities.time_max()].into_iter().flatten().max();
-        let meta = codec::encode_meta(entities, derived, &directory, time_max);
+        let (header, meta) =
+            crate::encode_head(self.fingerprint, entities, derived, &directory, time_max);
 
         let tmp = sibling_temp(&self.final_path, "assemble");
         let result = (|| -> Result<(), SnapshotError> {
             let mut out = BufWriter::new(File::create(&tmp)?);
-            out.write_all(&MAGIC)?;
-            out.write_all(&FORMAT_VERSION.to_le_bytes())?;
-            out.write_all(&0u32.to_le_bytes())?; // flags, reserved
-            out.write_all(&self.fingerprint.to_le_bytes())?;
-            out.write_all(&(meta.len() as u64).to_le_bytes())?;
-            out.write_all(&format::checksum(&meta).to_le_bytes())?;
+            out.write_all(&header)?;
             out.write_all(&meta)?;
             std::io::copy(&mut File::open(&self.sections_path)?, &mut out)?;
             out.flush()?;
@@ -185,11 +175,7 @@ impl ShardSink for SnapshotWriter {
         assert_eq!(base % self.shard_rows, 0, "a short shard can only be the last one flushed");
         assert!(shard.len() <= self.shard_rows, "shard exceeds the planned shard_rows");
         let bytes = codec::encode_instances(shard, 0, shard.len());
-        self.infos.push(ShardSectionInfo {
-            rows: shard.len() as u32,
-            byte_len: bytes.len() as u64,
-            checksum: format::checksum(&bytes),
-        });
+        self.infos.push(ShardSectionInfo::of(shard.len(), &bytes));
         self.sections.write_all(&bytes)?;
         self.n_rows += shard.len();
         self.time_max =
@@ -207,11 +193,29 @@ fn sibling_temp(final_path: &Path, tag: &str) -> PathBuf {
     final_path.with_extension(format!("{tag}.tmp.{}", std::process::id()))
 }
 
+/// Writes `snapshot` to `path` through a writer laid out for (up to)
+/// `shards` shards, one flush per shard, and returns the file's bytes.
+#[cfg(test)]
+pub(crate) fn write_sharded(
+    path: &Path,
+    snapshot: &crate::Snapshot,
+    fingerprint: u64,
+    shards: usize,
+) -> Vec<u8> {
+    let cols = &snapshot.dataset.instances;
+    let plan = crowd_core::ShardPlan::new(cols.len(), shards);
+    let mut writer = SnapshotWriter::create(path, fingerprint, plan.shard_rows()).unwrap();
+    for range in plan.ranges() {
+        writer.flush(range.start, &cols.clone_range(range)).unwrap();
+    }
+    let path = writer.finish(&snapshot.dataset, snapshot.derived.as_ref()).unwrap();
+    std::fs::read(path).unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{encode_sharded, fingerprint, Snapshot, SnapshotStore};
-    use crowd_core::shard::ShardedColumns;
+    use crate::{decode, encode, fingerprint, Snapshot, SnapshotStore};
     use crowd_sim::SimConfig;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -222,35 +226,25 @@ mod tests {
         dir
     }
 
-    /// The load-bearing equivalence: streaming shards through the writer
-    /// produces the same bytes as the monolithic `encode_sharded`.
+    /// The format is written in one place: a one-shard writer produces
+    /// exactly the bytes of `encode`, and files of any shard count decode
+    /// back to the table that was streamed in.
     #[test]
-    fn streamed_file_is_byte_identical_to_monolithic_encoding() {
+    fn streamed_files_match_encode_and_round_trip_through_decode() {
         let cfg = SimConfig::new(31, 0.002);
         let ds = crowd_sim::simulate(&cfg);
         let derived = crate::warm::compute_derived(&ds, crowd_cluster::ClusterParams::default());
+        let snap = Snapshot { dataset: ds, derived: Some(derived) };
         let fp = fingerprint(&cfg);
-        for shards in [1usize, 3, 100] {
-            let monolithic = encode_sharded(
-                &Snapshot { dataset: ds.clone(), derived: Some(derived.clone()) },
-                fp,
-                shards,
-            );
-
+        for shards in [1usize, 2, 3, 8, 100] {
             let dir = temp_dir(&format!("bytes-{shards}"));
-            let sharded = ShardedColumns::split(ds.instances.clone(), shards);
-            let mut writer =
-                SnapshotWriter::create(dir.join("snap-test.bin"), fp, sharded.shard_rows())
-                    .unwrap();
-            for (base, shard) in sharded.iter_shards() {
-                writer.flush(base, shard).unwrap();
+            let streamed = write_sharded(&dir.join("snap-test.bin"), &snap, fp, shards);
+            if shards == 1 {
+                assert_eq!(streamed, encode(&snap, fp), "one-shard writer == encode");
             }
-            let mut entities = ds.clone();
-            entities.instances = crowd_core::dataset::InstanceColumns::new();
-            let path = writer.finish(&entities, Some(&derived)).unwrap();
-
-            let streamed = std::fs::read(&path).unwrap();
-            assert_eq!(streamed, monolithic, "shards={shards}");
+            let back = decode(&streamed, fp).expect("streamed file decodes");
+            assert_eq!(back.dataset.instances, snap.dataset.instances, "shards={shards}");
+            assert_eq!(back.dataset.batches, snap.dataset.batches, "shards={shards}");
             assert_eq!(
                 std::fs::read_dir(&dir).unwrap().count(),
                 1,

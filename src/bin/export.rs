@@ -9,10 +9,12 @@
 //!
 //! With `--input-dir`, the dataset is loaded from a previously exported
 //! directory through the resilient ingest path instead of simulated.
-//! With `--snapshot-dir` and `--shards N > 1`, the build streams
-//! (DESIGN.md §16): cold runs flush each finished shard to the snapshot
-//! as it completes, warm runs load entities + enrichment only, and the
-//! CSVs are byte-identical either way (`tests/streamed_equivalence.rs`).
+//! With a snapshot store (`--snapshot-dir` or `$CROWD_SNAPSHOT_DIR`) the
+//! build always streams (DESIGN.md §16): cold runs flush each finished
+//! shard to the snapshot as it completes, warm runs load entities +
+//! enrichment only, and the CSVs are byte-identical either way
+//! (`tests/streamed_equivalence.rs`). `--shards N` then sets only the
+//! snapshot's file layout; without a store it schedules the fused scan.
 //!
 //! Files written into `DIR` (default `./export`):
 //! `weekly.csv` (Figs 1/2/4/5 series), `weekday.csv` (Fig 3),

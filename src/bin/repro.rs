@@ -108,13 +108,15 @@ fn main() {
         );
         println!(
             "  --shards N          partition the instance table into N shards \
-             (scan + snapshot layout; results are bit-identical).\n\
-             \x20                    With N > 1 the whole build streams: cold runs flush \
-             each finished\n\
-             \x20                    shard to the snapshot as it completes, warm runs load \
-             entities +\n\
-             \x20                    enrichment only, and no path holds more than ~one \
-             shard of rows."
+             (results are bit-identical).\n\
+             \x20                    Without a snapshot store it schedules the fused scan; \
+             with one it sets only\n\
+             \x20                    the file layout. With a snapshot store the build \
+             always streams: cold\n\
+             \x20                    runs flush each finished shard to the snapshot as it \
+             completes, warm runs\n\
+             \x20                    load entities + enrichment only, and no path holds \
+             more than ~one shard of rows."
         );
         println!("targets: all {}", ALL_TARGETS.join(" "));
         return;
@@ -124,8 +126,8 @@ fn main() {
     let scale = opts.scale;
 
     let study = opts.build_study().unwrap_or_else(|e| die(&e));
-    // `n_instances`, not `dataset().instances.len()`: a streamed (`--shards`
-    // > 1) study keeps the rows on disk and the resident table is empty.
+    // `n_instances`, not `dataset().instances.len()`: a store-backed study
+    // keeps the rows on disk and the resident table is empty.
     eprintln!(
         "enriched: {} instances, {} sampled batches, {} clusters\n",
         study.n_instances(),

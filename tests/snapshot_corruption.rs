@@ -52,7 +52,8 @@ fn assert_recovers(tag: &str, mutate: impl FnOnce(&mut Vec<u8>), expected: &str)
 
     // Silent fallback: same study as a never-cached run.
     let recovered = warm::study_from_config(&cfg, Some(&store));
-    assert_eq!(recovered.dataset().instances, baseline.dataset().instances, "{tag}");
+    assert_eq!(recovered.n_instances(), baseline.n_instances(), "{tag}");
+    assert_eq!(recovered.fused(), baseline.fused(), "{tag}");
     assert_eq!(cluster_labels(&recovered), cluster_labels(&baseline), "{tag}");
 
     // And the bad file was overwritten with a valid one.
@@ -149,12 +150,12 @@ fn damaged_shard_fails_independently_and_warm_recovers() {
         other => panic!("load: expected ShardCorrupt {{ shard: 1 }}, got {other:?}"),
     }
 
-    // Warm path at shards > 1 (DESIGN.md §16): header and meta are
-    // intact, so the columns-optional warm hit succeeds without touching
-    // the damaged section. The corruption is caught lazily when the
-    // fused scan streams that shard; the scan falls back to a fresh
-    // simulation, so every analytics result still matches a never-cached
-    // run even though the file itself is left as-is.
+    // Warm path (DESIGN.md §16): header and meta are intact, so the
+    // columns-optional warm hit succeeds without touching the damaged
+    // section. The corruption is caught lazily when the fused scan
+    // streams that shard; the scan rebuilds the snapshot and streams the
+    // fresh file, so every analytics result still matches a never-cached
+    // run.
     let recovered = warm::study_from_config(&cfg, Some(&store));
     assert_eq!(recovered.n_instances(), baseline.dataset().instances.len());
     assert_eq!(cluster_labels(&recovered), cluster_labels(&baseline));

@@ -1,5 +1,5 @@
 //! End-to-end equivalence of the streaming build (DESIGN.md §16): with a
-//! snapshot store and `--shards > 1`, the cold path streams each finished
+//! snapshot store, at any `--shards`, the cold path streams each finished
 //! shard to disk and the warm path rebuilds a columns-optional `Study`
 //! from entities + enrichment alone — and **neither may change a single
 //! published byte**. Every CSV `export` writes is compared bitwise against
@@ -71,7 +71,7 @@ fn streamed_cold_and_warm_exports_match_monolithic_golden() {
             let cell = base.join(format!("t{threads}_s{shards}"));
             let snap = cell.join("snap");
 
-            // Cold: the store is empty, so shards > 1 takes the streaming
+            // Cold: the store is empty, so the run takes the streaming
             // build (flush-as-you-go writer + streaming enricher).
             let cold = cell.join("cold");
             run_export(&cold, Some(&snap), threads, shards);
@@ -86,8 +86,8 @@ fn streamed_cold_and_warm_exports_match_monolithic_golden() {
                 "cold run published exactly the snapshot, no temps (s{shards})"
             );
 
-            // Warm: shards > 1 loads entities + enrichment only and streams
-            // the fused scan back from the shard sections on demand.
+            // Warm: loads entities + enrichment only and streams the fused
+            // scan back from the shard sections on demand.
             let warm = cell.join("warm");
             run_export(&warm, Some(&snap), threads, shards);
             assert_matches_golden(
