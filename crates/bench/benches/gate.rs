@@ -32,6 +32,11 @@
 //!   the write-ahead log in front of the fold vs without (fsync every 8
 //!   appends); collapses if `WalWriter::append` starts re-serializing
 //!   the log or fsyncing per event.
+//! * `BENCH_serve.json` `event_decode_speedup_vs_oracle` — the
+//!   borrowed-field, serialize-once event-stream decoder vs the frozen
+//!   naive codec in `crowd-testkit`, same wire text, same host; collapses
+//!   toward 1 if decoding goes back to a `String` per field or to
+//!   re-serializing events for the sort and dedup.
 //! * `BENCH_kernel.json` `shingle_speedup_vs_oracle` and
 //!   `sign_speedup_vs_oracle` — the allocation-free shingler and the
 //!   blocked MinHash kernel vs the frozen naive oracles in
@@ -51,6 +56,8 @@ use crowd_serve::{EventFeed, LiveService};
 use crowd_sim::SimConfig;
 use crowd_snapshot::{warm, SnapshotStore};
 
+#[path = "decode_workload.rs"]
+mod decode_workload;
 #[path = "kernel_workload.rs"]
 mod kernel_workload;
 
@@ -186,6 +193,11 @@ fn measure_wal_overhead_ratio() -> f64 {
     plain_s / wal_s
 }
 
+/// Serialize-once event decoder vs the naive testkit oracle.
+fn measure_event_decode_ratio() -> f64 {
+    decode_workload::measure_event_decode().0
+}
+
 /// Allocation-free shingling kernel vs the naive testkit oracle.
 fn measure_shingle_kernel_ratio() -> f64 {
     kernel_workload::measure_shingle(&kernel_workload::docs()).0
@@ -285,7 +297,7 @@ fn main() {
         eprintln!("[gate] skipped: perf ratios are only meaningful in release builds");
         return;
     }
-    let checks: [Check; 9] = [
+    let checks: [Check; 10] = [
         (
             "BENCH_scan.json",
             "speedup_to_same_outputs",
@@ -329,6 +341,15 @@ fn main() {
             "BENCH_serve.json",
             "wal_append_overhead",
             measure_wal_overhead_ratio,
+            KERNEL_TOLERANCE,
+            Better::Higher,
+        ),
+        // Codec-vs-oracle ratio: the oracle side is allocation-heavy, so
+        // it takes the kernel checks' band.
+        (
+            "BENCH_serve.json",
+            "event_decode_speedup_vs_oracle",
+            measure_event_decode_ratio,
             KERNEL_TOLERANCE,
             Better::Higher,
         ),

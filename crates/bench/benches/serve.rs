@@ -1,10 +1,10 @@
-//! Live-service benchmark: sustained event-apply throughput through the
-//! full `crowd-serve` path (wire parse already done; deltas converted,
+//! Live-service benchmark: event-stream decode throughput (and its speedup
+//! over the frozen naive codec), sustained event-apply throughput through
+//! the full `crowd-serve` path (wire parse already done; deltas converted,
 //! gauges bumped, snapshot published per batch), dashboard query latency
 //! against published snapshots, checkpoint write + restore cost, and the
-//! hardware-independent `delta_apply_speedup_vs_batch_rebuild` ratio the
-//! CI gate re-measures. Numbers land in `BENCH_serve.json` by hand — the
-//! run prints a ready-to-paste skeleton.
+//! hardware-independent ratios the CI gate re-measures. Numbers land in
+//! `BENCH_serve.json` by hand — the run prints a ready-to-paste skeleton.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -14,6 +14,9 @@ use crowd_bench::shapes::{measure, view_rebuild_ratio};
 use crowd_ingest::{load_events_str, WalOptions};
 use crowd_serve::query::dashboard;
 use crowd_serve::{CheckpointStore, EventFeed, LiveService};
+
+#[path = "decode_workload.rs"]
+mod decode_workload;
 
 /// Events per applied delta — one fused chunk of completed rows.
 const DELTA_EVENTS: usize = 8192;
@@ -35,6 +38,13 @@ fn main() {
         n_events,
         rows.len(),
         DELTA_EVENTS
+    );
+
+    // ---- wire decode vs the frozen naive codec ------------------------
+    let (decode_speedup, decode_events_per_s) = decode_workload::measure_event_decode();
+    println!(
+        "event_decode: {decode_events_per_s:.0} events/s on the tiny(2017) feed, \
+         {decode_speedup:.2}x the naive codec"
     );
 
     // ---- sustained apply throughput -----------------------------------
@@ -172,7 +182,7 @@ fn main() {
 
     println!("\npaste into BENCH_serve.json:");
     println!(
-        "  \"results\": {{\n    \"apply_stream\": {{ \"median_ms\": {:.1}, \"events_per_s\": {:.0} }},\n    \"wal_append\": {{ \"median_ms\": {:.1}, \"events_per_s\": {:.0} }},\n    \"recovery_ms\": {:.1},\n    \"dashboard_query\": {{ \"p50_us\": {:.1}, \"p99_us\": {:.1} }},\n    \"checkpoint_write\": {{ \"median_ms\": {:.1} }},\n    \"checkpoint_restore\": {{ \"median_ms\": {:.1} }}\n  }},\n  \"delta_apply_speedup_vs_batch_rebuild\": {:.2},\n  \"wal_append_overhead\": {:.2}",
+        "  \"results\": {{\n    \"apply_stream\": {{ \"median_ms\": {:.1}, \"events_per_s\": {:.0} }},\n    \"wal_append\": {{ \"median_ms\": {:.1}, \"events_per_s\": {:.0} }},\n    \"recovery_ms\": {:.1},\n    \"dashboard_query\": {{ \"p50_us\": {:.1}, \"p99_us\": {:.1} }},\n    \"checkpoint_write\": {{ \"median_ms\": {:.1} }},\n    \"checkpoint_restore\": {{ \"median_ms\": {:.1} }},\n    \"event_decode\": {{ \"events_per_s\": {:.0} }}\n  }},\n  \"delta_apply_speedup_vs_batch_rebuild\": {:.2},\n  \"wal_append_overhead\": {:.2},\n  \"event_decode_speedup_vs_oracle\": {:.2}",
         apply_s * 1e3,
         events_per_s,
         wal_s * 1e3,
@@ -182,7 +192,9 @@ fn main() {
         p99,
         ckpt_s * 1e3,
         restore_s * 1e3,
+        decode_events_per_s,
         ratio,
-        wal_overhead
+        wal_overhead,
+        decode_speedup
     );
 }

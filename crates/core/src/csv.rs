@@ -12,6 +12,7 @@
 //! never leaves a torn table: either the old file survives intact or the
 //! new one is complete.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{self};
@@ -30,111 +31,179 @@ use crate::worker::{Source, SourceKind, Worker};
 pub fn escape_field(field: &str, out: &mut String) {
     if field.contains([',', '"', '\n', '\r']) {
         out.push('"');
-        for ch in field.chars() {
-            if ch == '"' {
-                out.push('"');
-            }
-            out.push(ch);
-        }
+        push_quoted_body(field, out);
         out.push('"');
     } else {
         out.push_str(field);
     }
 }
 
-/// Splits one CSV record (which may span multiple physical lines when quoted
-/// fields contain newlines) into fields. `records` iterates a whole document.
+/// Appends `field` with every quote doubled (the body of a quoted field).
+fn push_quoted_body(field: &str, out: &mut String) {
+    for (i, part) in field.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(part);
+    }
+}
+
+/// `"00" "01" … "99"`: two decimal digits per table lookup.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends the decimal form of `v` (what `Display` prints) without going
+/// through the formatting machinery.
+pub fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    out.extend(buf[at..].iter().map(|&b| char::from(b)));
+}
+
+/// Appends the decimal form of `v`, with a leading `-` when negative.
+pub fn push_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// One field of a split record: borrowed from the document unless the
+/// field had to be rewritten (a doubled quote inside quotes, or a stray
+/// CR inside an unquoted field).
+pub type Field<'a> = Cow<'a, str>;
+
+/// Splits a CSV document into records. A record may span several
+/// physical lines when a quoted field holds a newline.
 pub fn parse_records(text: &str) -> CsvRecords<'_> {
     CsvRecords { rest: text, line: 0 }
 }
 
-/// Iterator over CSV records; yields `(line_number, fields)`.
+/// Splitter over a CSV document.
+///
+/// [`CsvRecords::next_into`] fills a caller-owned field vector, so a
+/// warmed vector splits a whole document without allocating; the
+/// [`Iterator`] impl yields a fresh vector per record for convenience.
+///
+/// Grammar: fields are separated by `,` and records by `\n`. A field
+/// whose first non-CR character is `"` is quoted: it runs to the next
+/// lone `"`, `""` inside it is a literal quote, and it may hold commas,
+/// CRs and newlines (each newline advances the line count). After the
+/// closing quote only CRs may precede the separator ("data after
+/// closing quote" otherwise, "stray quote inside unquoted field" for a
+/// second quote). Outside quotes a `"` is an error and every CR is
+/// dropped, which is what makes CRLF documents split like LF ones.
 pub struct CsvRecords<'a> {
     rest: &'a str,
     line: usize,
 }
 
-impl<'a> Iterator for CsvRecords<'a> {
-    type Item = Result<(usize, Vec<String>)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.rest.is_empty() {
+impl<'a> CsvRecords<'a> {
+    /// Splits the next record into `fields` (cleared first) and returns
+    /// its first line number; `None` at the end of the document.
+    pub fn next_into(&mut self, fields: &mut Vec<Field<'a>>) -> Option<Result<usize>> {
+        fields.clear();
+        let rest = self.rest;
+        if rest.is_empty() {
             return None;
         }
         self.line += 1;
         let start_line = self.line;
-        let mut fields = Vec::new();
-        let mut cur = String::new();
-        let mut chars = self.rest.char_indices();
-        let mut in_quotes = false;
-        let mut after_quote = false; // just closed a quote; expect , or EOL
+        let err =
+            |message: &str| Some(Err(CoreError::Csv { line: start_line, message: message.into() }));
+        let bytes = rest.as_bytes();
+        let skip_crs = |mut at: usize| {
+            while bytes.get(at) == Some(&b'\r') {
+                at += 1;
+            }
+            at
+        };
+        let mut at = 0;
         loop {
-            match chars.next() {
-                None => {
-                    if in_quotes {
-                        return Some(Err(CoreError::Csv {
-                            line: start_line,
-                            message: "unterminated quoted field".into(),
-                        }));
+            // CRs around a quoted field, or anywhere in an unquoted one,
+            // belong to no field.
+            at = skip_crs(at);
+            if bytes.get(at) == Some(&b'"') {
+                let body = at + 1;
+                let mut doubled = false;
+                let mut i = body;
+                let close = loop {
+                    match bytes.get(i) {
+                        None => return err("unterminated quoted field"),
+                        Some(b'"') if bytes.get(i + 1) == Some(&b'"') => {
+                            doubled = true;
+                            i += 2;
+                        }
+                        Some(b'"') => break i,
+                        Some(b'\n') => {
+                            self.line += 1;
+                            i += 1;
+                        }
+                        Some(_) => i += 1,
                     }
-                    self.rest = "";
-                    fields.push(std::mem::take(&mut cur));
-                    return Some(Ok((start_line, fields)));
+                };
+                let raw = &rest[body..close];
+                fields.push(if doubled {
+                    Cow::Owned(raw.replace("\"\"", "\""))
+                } else {
+                    Cow::Borrowed(raw)
+                });
+                at = skip_crs(close + 1);
+            } else {
+                let start = at;
+                let mut cr = false;
+                loop {
+                    match bytes.get(at) {
+                        None | Some(b',' | b'\n') => break,
+                        Some(b'"') => return err("stray quote inside unquoted field"),
+                        Some(b'\r') => cr = true,
+                        Some(_) => {}
+                    }
+                    at += 1;
                 }
-                Some((pos, ch)) => {
-                    if in_quotes {
-                        if ch == '"' {
-                            // Peek: doubled quote = literal quote.
-                            if self.rest[pos + 1..].starts_with('"') {
-                                cur.push('"');
-                                chars.next();
-                            } else {
-                                in_quotes = false;
-                                after_quote = true;
-                            }
-                        } else {
-                            if ch == '\n' {
-                                self.line += 1;
-                            }
-                            cur.push(ch);
-                        }
-                        continue;
-                    }
-                    match ch {
-                        '"' if cur.is_empty() && !after_quote => in_quotes = true,
-                        '"' => {
-                            return Some(Err(CoreError::Csv {
-                                line: start_line,
-                                message: "stray quote inside unquoted field".into(),
-                            }))
-                        }
-                        ',' => {
-                            fields.push(std::mem::take(&mut cur));
-                            after_quote = false;
-                        }
-                        '\r' => {} // tolerate CRLF
-                        '\n' => {
-                            self.rest = &self.rest[pos + 1..];
-                            fields.push(std::mem::take(&mut cur));
-                            return Some(Ok((start_line, fields)));
-                        }
-                        _ if after_quote => {
-                            return Some(Err(CoreError::Csv {
-                                line: start_line,
-                                message: "data after closing quote".into(),
-                            }))
-                        }
-                        _ => cur.push(ch),
-                    }
+                let raw = &rest[start..at];
+                let trimmed = raw.trim_end_matches('\r');
+                fields.push(if cr && trimmed.contains('\r') {
+                    Cow::Owned(trimmed.replace('\r', ""))
+                } else {
+                    Cow::Borrowed(trimmed)
+                });
+            }
+            match bytes.get(at) {
+                None => break,
+                Some(b',') => at += 1,
+                Some(b'\n') => {
+                    self.rest = &rest[at + 1..];
+                    return Some(Ok(start_line));
                 }
+                Some(b'"') => return err("stray quote inside unquoted field"),
+                Some(_) => return err("data after closing quote"),
             }
         }
+        self.rest = "";
+        Some(Ok(start_line))
     }
-}
 
-impl CsvRecords<'_> {
-    /// Skips past the next physical line boundary so iteration can continue
-    /// after a malformed record. Always makes progress.
+    /// Skips past the next physical line boundary so splitting can
+    /// continue after a malformed record. Always makes progress.
     fn recover(&mut self) {
         match self.rest.find('\n') {
             Some(pos) => self.rest = &self.rest[pos + 1..],
@@ -143,23 +212,32 @@ impl CsvRecords<'_> {
     }
 }
 
+impl<'a> Iterator for CsvRecords<'a> {
+    type Item = Result<(usize, Vec<Field<'a>>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut fields = Vec::new();
+        Some(self.next_into(&mut fields)?.map(|line| (line, fields)))
+    }
+}
+
 /// Like [`parse_records`], but a malformed record is reported once and then
-/// skipped (to the next physical line) instead of poisoning the iterator —
+/// skipped (to the next physical line) instead of poisoning the splitter —
 /// the record-level recovery primitive the quarantining ingest path needs.
 pub fn parse_records_lossy(text: &str) -> LossyRecords<'_> {
     LossyRecords { inner: parse_records(text) }
 }
 
-/// Iterator over CSV records with per-record error recovery.
+/// Splitter with per-record error recovery.
 pub struct LossyRecords<'a> {
     inner: CsvRecords<'a>,
 }
 
-impl Iterator for LossyRecords<'_> {
-    type Item = Result<(usize, Vec<String>)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let item = self.inner.next()?;
+impl<'a> LossyRecords<'a> {
+    /// [`CsvRecords::next_into`], skipping to the next physical line
+    /// after a malformed record.
+    pub fn next_into(&mut self, fields: &mut Vec<Field<'a>>) -> Option<Result<usize>> {
+        let item = self.inner.next_into(fields)?;
         if item.is_err() {
             self.inner.recover();
         }
@@ -167,21 +245,32 @@ impl Iterator for LossyRecords<'_> {
     }
 }
 
-fn write_record(out: &mut String, fields: &[&str]) {
-    for (i, f) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        escape_field(f, out);
+impl<'a> Iterator for LossyRecords<'a> {
+    type Item = Result<(usize, Vec<Field<'a>>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut fields = Vec::new();
+        Some(self.next_into(&mut fields)?.map(|line| (line, fields)))
     }
-    out.push('\n');
 }
 
-fn answer_to_field(a: &Answer) -> String {
+/// Appends the `answer` field of an `instances` record, escaped.
+fn push_answer(a: &Answer, out: &mut String) {
     match a {
-        Answer::Choice(i) => format!("C:{i}"),
-        Answer::Text(t) => format!("T:{t}"),
-        Answer::Skipped => "S".to_owned(),
+        Answer::Choice(i) => {
+            out.push_str("C:");
+            push_u64(out, u64::from(*i));
+        }
+        Answer::Text(t) if t.contains([',', '"', '\n', '\r']) => {
+            out.push_str("\"T:");
+            push_quoted_body(t, out);
+            out.push('"');
+        }
+        Answer::Text(t) => {
+            out.push_str("T:");
+            out.push_str(t);
+        }
+        Answer::Skipped => out.push('S'),
     }
 }
 
@@ -281,9 +370,15 @@ impl Table {
         }
     }
 
-    /// Number of fields per record.
+    /// Number of fields per record (the fields of [`Table::header`]).
     pub fn arity(self) -> usize {
-        self.header().split(',').count()
+        match self {
+            Table::Countries => 1,
+            Table::Sources | Table::Workers => 2,
+            Table::Batches => 4,
+            Table::TaskTypes => 5,
+            Table::Instances => 7,
+        }
     }
 
     /// Whether row *position* is meaningful: entity tables are referenced
@@ -306,62 +401,62 @@ impl Table {
 
 /// Appends one `sources` record (including trailing newline).
 pub fn source_record(s: &Source, out: &mut String) {
-    write_record(out, &[&s.name, kind_to_str(s.kind)]);
+    escape_field(&s.name, out);
+    out.push(',');
+    out.push_str(kind_to_str(s.kind));
+    out.push('\n');
 }
 
 /// Appends one `countries` record.
 pub fn country_record(name: &str, out: &mut String) {
-    write_record(out, &[name]);
+    escape_field(name, out);
+    out.push('\n');
 }
 
 /// Appends one `workers` record.
 pub fn worker_record(w: &Worker, out: &mut String) {
-    write_record(out, &[&w.source.raw().to_string(), &w.country.raw().to_string()]);
+    push_u64(out, w.source.raw().into());
+    out.push(',');
+    push_u64(out, w.country.raw().into());
+    out.push('\n');
 }
 
 /// Appends one `task_types` record.
 pub fn task_type_record(t: &TaskType, out: &mut String) {
-    write_record(
-        out,
-        &[
-            &t.title,
-            &t.goals.bits().to_string(),
-            &t.operators.bits().to_string(),
-            &t.data_types.bits().to_string(),
-            &t.choice_arity.to_string(),
-        ],
-    );
+    escape_field(&t.title, out);
+    for v in [t.goals.bits(), t.operators.bits(), t.data_types.bits(), t.choice_arity] {
+        out.push(',');
+        push_u64(out, v.into());
+    }
+    out.push('\n');
 }
 
 /// Appends one `batches` record.
 pub fn batch_record(b: &Batch, out: &mut String) {
-    write_record(
-        out,
-        &[
-            &b.task_type.raw().to_string(),
-            &b.created_at.as_secs().to_string(),
-            if b.sampled { "1" } else { "0" },
-            b.html.as_deref().unwrap_or(""),
-        ],
-    );
+    push_u64(out, b.task_type.raw().into());
+    out.push(',');
+    push_i64(out, b.created_at.as_secs());
+    out.push_str(if b.sampled { ",1," } else { ",0," });
+    escape_field(b.html.as_deref().unwrap_or(""), out);
+    out.push('\n');
 }
 
-/// Appends one `instances` record.
+/// Appends one `instances` record, writing every field straight into
+/// `out` (integers through [`push_u64`]/[`push_i64`], the trust through
+/// `Display`).
 pub fn instance_record(i: crate::dataset::InstanceRef<'_>, out: &mut String) {
-    let mut trust_buf = String::new();
-    let _ = write!(trust_buf, "{}", i.trust);
-    write_record(
-        out,
-        &[
-            &i.batch.raw().to_string(),
-            &i.item.raw().to_string(),
-            &i.worker.raw().to_string(),
-            &i.start.as_secs().to_string(),
-            &i.end.as_secs().to_string(),
-            &trust_buf,
-            &answer_to_field(i.answer),
-        ],
-    );
+    for id in [i.batch.raw(), i.item.raw(), i.worker.raw()] {
+        push_u64(out, id.into());
+        out.push(',');
+    }
+    push_i64(out, i.start.as_secs());
+    out.push(',');
+    push_i64(out, i.end.as_secs());
+    out.push(',');
+    let _ = write!(out, "{}", i.trust);
+    out.push(',');
+    push_answer(i.answer, out);
+    out.push('\n');
 }
 
 // ---------------------------------------------------------------------------
@@ -459,8 +554,7 @@ impl Manifest {
     /// Parses a manifest document; unknown table names are an error.
     pub fn parse(text: &str) -> Result<Manifest> {
         let mut entries = Vec::new();
-        for rec in TableReader::new(text, "table,rows,digest")? {
-            let (line, f) = rec?;
+        each_row(text, "table,rows,digest", |f, line| {
             let table = Table::from_name(&f[0]).ok_or_else(|| CoreError::Csv {
                 line,
                 message: format!("unknown table `{}`", f[0]),
@@ -469,7 +563,8 @@ impl Manifest {
             let digest = u64::from_str_radix(&f[2], 16)
                 .map_err(|_| CoreError::Csv { line, message: format!("bad digest `{}`", f[2]) })?;
             entries.push(ManifestEntry { table, rows, digest });
-        }
+            Ok(())
+        })?;
         Ok(Manifest { entries })
     }
 }
@@ -586,56 +681,47 @@ pub fn export_dir(ds: &Dataset, dir: &Path) -> io::Result<()> {
     write_atomic(&dir.join(MANIFEST_FILE), &manifest.to_csv())
 }
 
-struct TableReader<'a> {
-    records: CsvRecords<'a>,
-    expected_fields: usize,
-}
-
-impl<'a> TableReader<'a> {
-    fn new(text: &'a str, header: &str) -> Result<Self> {
-        let expected_fields = header.split(',').count();
-        let mut records = parse_records(text);
-        match records.next() {
-            Some(Ok((_, fields))) if fields.join(",") == header => {}
-            Some(Ok((line, _))) => {
-                return Err(CoreError::Csv { line, message: format!("expected header `{header}`") })
-            }
-            Some(Err(e)) => return Err(e),
-            None => return Err(CoreError::Csv { line: 1, message: "empty file".into() }),
+/// Splits `text` strictly (the first malformed record aborts), checks its
+/// header, and hands every data record to `visit` with its line number.
+/// Blank and wrong-arity records are errors.
+fn each_row<'a>(
+    text: &'a str,
+    header: &str,
+    mut visit: impl FnMut(&[Field<'a>], usize) -> Result<()>,
+) -> Result<()> {
+    let expected_fields = header.split(',').count();
+    let mut records = parse_records(text);
+    let mut fields = Vec::new();
+    match records.next_into(&mut fields) {
+        Some(Ok(_)) if fields.join(",") == header => {}
+        Some(Ok(line)) => {
+            return Err(CoreError::Csv { line, message: format!("expected header `{header}`") })
         }
-        Ok(TableReader { records, expected_fields })
+        Some(Err(e)) => return Err(e),
+        None => return Err(CoreError::Csv { line: 1, message: "empty file".into() }),
     }
-}
-
-impl Iterator for TableReader<'_> {
-    type Item = Result<(usize, Vec<String>)>;
-    fn next(&mut self) -> Option<Self::Item> {
-        let rec = self.records.next()?;
-        Some(rec.and_then(|(line, fields)| {
-            if fields.len() == 1 && fields[0].is_empty() {
-                // Trailing blank line.
-                return Err(CoreError::Csv { line, message: "blank record".into() });
-            }
-            if fields.len() != self.expected_fields {
-                return Err(CoreError::Csv {
-                    line,
-                    message: format!(
-                        "expected {} fields, got {}",
-                        self.expected_fields,
-                        fields.len()
-                    ),
-                });
-            }
-            Ok((line, fields))
-        }))
+    while let Some(rec) = records.next_into(&mut fields) {
+        let line = rec?;
+        if fields.len() == 1 && fields[0].is_empty() {
+            // Trailing blank line.
+            return Err(CoreError::Csv { line, message: "blank record".into() });
+        }
+        if fields.len() != expected_fields {
+            return Err(CoreError::Csv {
+                line,
+                message: format!("expected {expected_fields} fields, got {}", fields.len()),
+            });
+        }
+        visit(&fields, line)?;
     }
+    Ok(())
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str, line: usize, what: &str) -> Result<T> {
     s.parse().map_err(|_| CoreError::Csv { line, message: format!("bad {what} `{s}`") })
 }
 
-fn expect_arity(f: &[String], table: Table, line: usize) -> Result<()> {
+fn expect_arity(f: &[Field<'_>], table: Table, line: usize) -> Result<()> {
     if f.len() != table.arity() {
         return Err(CoreError::Csv {
             line,
@@ -646,19 +732,19 @@ fn expect_arity(f: &[String], table: Table, line: usize) -> Result<()> {
 }
 
 /// Parses one `sources` record.
-pub fn parse_source_row(f: &[String], line: usize) -> Result<Source> {
+pub fn parse_source_row(f: &[Field<'_>], line: usize) -> Result<Source> {
     expect_arity(f, Table::Sources, line)?;
-    Ok(Source::new(&f[0], kind_from_str(&f[1], line)?))
+    Ok(Source::new(&*f[0], kind_from_str(&f[1], line)?))
 }
 
 /// Parses one `countries` record (the country name).
-pub fn parse_country_row(f: &[String], line: usize) -> Result<String> {
+pub fn parse_country_row(f: &[Field<'_>], line: usize) -> Result<String> {
     expect_arity(f, Table::Countries, line)?;
-    Ok(f[0].clone())
+    Ok(f[0].clone().into_owned())
 }
 
 /// Parses one `workers` record.
-pub fn parse_worker_row(f: &[String], line: usize) -> Result<Worker> {
+pub fn parse_worker_row(f: &[Field<'_>], line: usize) -> Result<Worker> {
     expect_arity(f, Table::Workers, line)?;
     Ok(Worker::new(
         SourceId::new(parse_num(&f[0], line, "source id")?),
@@ -667,9 +753,9 @@ pub fn parse_worker_row(f: &[String], line: usize) -> Result<Worker> {
 }
 
 /// Parses one `task_types` record.
-pub fn parse_task_type_row(f: &[String], line: usize) -> Result<TaskType> {
+pub fn parse_task_type_row(f: &[Field<'_>], line: usize) -> Result<TaskType> {
     expect_arity(f, Table::TaskTypes, line)?;
-    let mut tt = TaskType::new(&f[0]);
+    let mut tt = TaskType::new(&*f[0]);
     tt.goals = LabelSet::from_bits(parse_num(&f[1], line, "goal bits")?)?;
     tt.operators = LabelSet::from_bits(parse_num(&f[2], line, "operator bits")?)?;
     tt.data_types = LabelSet::from_bits(parse_num(&f[3], line, "data-type bits")?)?;
@@ -679,13 +765,13 @@ pub fn parse_task_type_row(f: &[String], line: usize) -> Result<TaskType> {
 
 /// Parses one `batches` record. The sampled flag is strict (`0`/`1`): a
 /// corrupted flag should be caught, not silently read as "unsampled".
-pub fn parse_batch_row(f: &[String], line: usize) -> Result<Batch> {
+pub fn parse_batch_row(f: &[Field<'_>], line: usize) -> Result<Batch> {
     expect_arity(f, Table::Batches, line)?;
     let mut batch = Batch::new(
         TaskTypeId::new(parse_num(&f[0], line, "task type id")?),
         Timestamp::from_secs(parse_num(&f[1], line, "created_at")?),
     );
-    batch.sampled = match f[2].as_str() {
+    batch.sampled = match &*f[2] {
         "1" => true,
         "0" => false,
         other => {
@@ -693,13 +779,13 @@ pub fn parse_batch_row(f: &[String], line: usize) -> Result<Batch> {
         }
     };
     if !f[3].is_empty() {
-        batch.html = Some(f[3].as_str().into());
+        batch.html = Some((*f[3]).into());
     }
     Ok(batch)
 }
 
 /// Parses one `instances` record.
-pub fn parse_instance_row(f: &[String], line: usize) -> Result<TaskInstance> {
+pub fn parse_instance_row(f: &[Field<'_>], line: usize) -> Result<TaskInstance> {
     expect_arity(f, Table::Instances, line)?;
     Ok(TaskInstance {
         batch: BatchId::new(parse_num(&f[0], line, "batch id")?),
@@ -724,30 +810,30 @@ pub fn import_dir(dir: &Path) -> Result<Dataset> {
     };
     let mut b = DatasetBuilder::new();
 
-    for rec in TableReader::new(&read("sources.csv")?, Table::Sources.header())? {
-        let (line, f) = rec?;
-        b.add_source(parse_source_row(&f, line)?);
-    }
-    for rec in TableReader::new(&read("countries.csv")?, Table::Countries.header())? {
-        let (line, f) = rec?;
-        b.add_country(&parse_country_row(&f, line)?);
-    }
-    for rec in TableReader::new(&read("workers.csv")?, Table::Workers.header())? {
-        let (line, f) = rec?;
-        b.add_worker(parse_worker_row(&f, line)?);
-    }
-    for rec in TableReader::new(&read("task_types.csv")?, Table::TaskTypes.header())? {
-        let (line, f) = rec?;
-        b.add_task_type(parse_task_type_row(&f, line)?);
-    }
-    for rec in TableReader::new(&read("batches.csv")?, Table::Batches.header())? {
-        let (line, f) = rec?;
-        b.add_batch(parse_batch_row(&f, line)?);
-    }
-    for rec in TableReader::new(&read("instances.csv")?, Table::Instances.header())? {
-        let (line, f) = rec?;
-        b.add_instance(parse_instance_row(&f, line)?);
-    }
+    each_row(&read("sources.csv")?, Table::Sources.header(), |f, line| {
+        b.add_source(parse_source_row(f, line)?);
+        Ok(())
+    })?;
+    each_row(&read("countries.csv")?, Table::Countries.header(), |f, line| {
+        b.add_country(&parse_country_row(f, line)?);
+        Ok(())
+    })?;
+    each_row(&read("workers.csv")?, Table::Workers.header(), |f, line| {
+        b.add_worker(parse_worker_row(f, line)?);
+        Ok(())
+    })?;
+    each_row(&read("task_types.csv")?, Table::TaskTypes.header(), |f, line| {
+        b.add_task_type(parse_task_type_row(f, line)?);
+        Ok(())
+    })?;
+    each_row(&read("batches.csv")?, Table::Batches.header(), |f, line| {
+        b.add_batch(parse_batch_row(f, line)?);
+        Ok(())
+    })?;
+    each_row(&read("instances.csv")?, Table::Instances.header(), |f, line| {
+        b.add_instance(parse_instance_row(f, line)?);
+        Ok(())
+    })?;
     b.finish()
 }
 
@@ -819,6 +905,41 @@ mod tests {
     }
 
     #[test]
+    fn fields_borrow_unless_they_must_be_rewritten() {
+        let doc = "plain,\"q,uoted\",\"dou\"\"bled\",cr\rin,crlf\r\n";
+        let mut records = parse_records(doc);
+        let mut fields = Vec::new();
+        assert_eq!(records.next_into(&mut fields).unwrap().unwrap(), 1);
+        let owned: Vec<bool> = fields.iter().map(|f| matches!(f, Cow::Owned(_))).collect();
+        assert_eq!(fields, ["plain", "q,uoted", "dou\"bled", "crin", "crlf"]);
+        assert_eq!(owned, [false, false, true, true, false]);
+        assert!(records.next_into(&mut fields).is_none());
+    }
+
+    #[test]
+    fn crlf_documents_split_like_lf_ones() {
+        let lf: Vec<_> = parse_records("a,\"b\nc\"\nd,e\n").map(Result::unwrap).collect();
+        let crlf: Vec<_> = parse_records("a,\"b\nc\"\r\nd,e\r\n").map(Result::unwrap).collect();
+        assert_eq!(lf, crlf);
+        assert_eq!(lf[1].0, 3, "the quoted newline advances the line count");
+    }
+
+    #[test]
+    fn integer_writers_match_display() {
+        let mut out = String::new();
+        for v in [0, 7, 9, 10, 99, 100, 101, 12_345, u64::from(u32::MAX), u64::MAX] {
+            out.clear();
+            push_u64(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+        for v in [0, -1, -10, 42, i64::MIN, i64::MAX] {
+            out.clear();
+            push_i64(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+    }
+
+    #[test]
     fn parse_rejects_unterminated_quote() {
         let doc = "a,\"open\n";
         let err = parse_records(doc).next().unwrap().unwrap_err();
@@ -849,8 +970,10 @@ mod tests {
     #[test]
     fn answer_field_roundtrip() {
         for a in [Answer::Choice(7), Answer::Text("x,y".into()), Answer::Skipped] {
-            let f = answer_to_field(&a);
-            assert_eq!(answer_from_field(&f, 1).unwrap(), a);
+            let mut f = String::new();
+            push_answer(&a, &mut f);
+            let fields: Vec<_> = parse_records(&f).map(|r| r.unwrap().1).collect();
+            assert_eq!(answer_from_field(&fields[0][0], 1).unwrap(), a);
         }
         assert!(answer_from_field("Q:9", 1).is_err());
         assert!(answer_from_field("C:notanum", 1).is_err());
@@ -930,7 +1053,7 @@ mod tests {
 
     #[test]
     fn row_parsers_reject_wrong_arity_with_line() {
-        let f = vec!["1".to_string()];
+        let f = vec![Field::from("1")];
         for (name, err) in [
             ("workers", parse_worker_row(&f, 7).unwrap_err()),
             ("instances", parse_instance_row(&f, 7).unwrap_err()),
@@ -948,7 +1071,8 @@ mod tests {
 
     #[test]
     fn batch_row_sampled_flag_is_strict() {
-        let f: Vec<String> = ["0", "100", "2", "<p>x</p>"].iter().map(|s| s.to_string()).collect();
+        let f: Vec<Field<'_>> =
+            ["0", "100", "2", "<p>x</p>"].into_iter().map(Field::from).collect();
         assert!(parse_batch_row(&f, 3).is_err());
     }
 

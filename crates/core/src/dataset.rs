@@ -73,6 +73,20 @@ pub struct InstanceRef<'a> {
     pub answer: &'a Answer,
 }
 
+impl<'a> From<&'a TaskInstance> for InstanceRef<'a> {
+    fn from(i: &'a TaskInstance) -> InstanceRef<'a> {
+        InstanceRef {
+            batch: i.batch,
+            item: i.item,
+            worker: i.worker,
+            start: i.start,
+            end: i.end,
+            trust: i.trust,
+            answer: &i.answer,
+        }
+    }
+}
+
 impl InstanceRef<'_> {
     /// Time the worker spent on the instance.
     #[inline]

@@ -72,8 +72,10 @@ pub struct TableReport {
     pub table: &'static str,
     /// Rows accepted into the dataset.
     pub accepted: u64,
-    /// Out-of-order arrivals restored to canonical order (instances only;
-    /// counted as arrival-order inversions the canonical sort repaired).
+    /// Out-of-order arrivals restored to canonical order (instances and
+    /// events): the number of adjacent arrival-order pairs that were out of
+    /// canonical order. This is not the inversion count — a record that
+    /// arrives `k` places late counts once, not `k` times.
     pub repaired: u64,
     /// Byte-identical replayed rows dropped by deduplication.
     pub deduped: u64,

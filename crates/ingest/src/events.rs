@@ -14,8 +14,8 @@
 //! - byte-identical replayed records are deduplicated (counted, not
 //!   quarantined);
 //! - out-of-order arrivals are restored to the *canonical event order*
-//!   `(event time, kind, sequence number)` and the number of repaired
-//!   inversions is reported;
+//!   `(event time, kind, sequence number)`, and the number of adjacent
+//!   arrival-order pairs that were out of that order is reported;
 //! - an optional digest trailer (`T,<n>,<hex>`) proves the recovered
 //!   stream identical to what the producer emitted — the digest is an
 //!   order-invariant, duplicate-sensitive sum of per-record hashes, so a
@@ -41,12 +41,15 @@ use std::fmt;
 use std::io::Read;
 use std::sync::Arc;
 
-use crowd_core::csv::{self, record_hash};
+use crowd_core::csv::{self, record_hash, Field};
 use crowd_core::dataset::{Dataset, InstanceColumns, TaskInstance};
 use crowd_core::error::{CoreError, FaultClass};
 use crowd_core::provenance::{ErrorBudget, QuarantinedRow, TableReport, QUARANTINE_DETAIL_CAP};
 use crowd_core::{BatchId, InstanceId, Timestamp, WorkerId};
 
+use rayon::prelude::*;
+
+use crate::loader::CHUNK;
 use crate::retry::{read_all_with_retry, Backoff, Clock, SystemClock};
 
 /// Table name events are reported and quarantined under.
@@ -128,38 +131,34 @@ impl MarketEvent {
     }
 
     /// Appends the event's canonical serialization (one CSV record plus
-    /// newline) to `out`.
+    /// newline) to `out`, writing every field straight into the buffer.
     pub fn serialize(&self, out: &mut String) {
-        use fmt::Write;
         match self {
             MarketEvent::Posted { seq, batch } => {
-                let _ = writeln!(out, "P,{seq},{}", batch.raw());
+                out.push_str("P,");
+                csv::push_u64(out, *seq);
+                out.push(',');
+                csv::push_u64(out, batch.raw().into());
+                out.push('\n');
             }
             MarketEvent::PickedUp { seq, batch, worker, at } => {
-                let _ = writeln!(out, "U,{seq},{},{},{}", batch.raw(), worker.raw(), at.as_secs());
+                out.push_str("U,");
+                csv::push_u64(out, *seq);
+                for id in [batch.raw(), worker.raw()] {
+                    out.push(',');
+                    csv::push_u64(out, id.into());
+                }
+                out.push(',');
+                csv::push_i64(out, at.as_secs());
+                out.push('\n');
             }
             MarketEvent::Completed { seq, row } => {
-                let _ = write!(out, "C,{seq},");
-                csv::instance_record(
-                    crowd_core::dataset::InstanceRef {
-                        batch: row.batch,
-                        item: row.item,
-                        worker: row.worker,
-                        start: row.start,
-                        end: row.end,
-                        trust: row.trust,
-                        answer: &row.answer,
-                    },
-                    out,
-                );
+                out.push_str("C,");
+                csv::push_u64(out, *seq);
+                out.push(',');
+                csv::instance_record(row.into(), out);
             }
         }
-    }
-
-    fn canon(&self) -> String {
-        let mut s = String::new();
-        self.serialize(&mut s);
-        s
     }
 }
 
@@ -346,9 +345,196 @@ impl fmt::Debug for EventOptions {
 }
 
 struct Trailer {
-    line: usize,
     n: u64,
     digest: u64,
+}
+
+/// Where one parsed event sorts: the canonical `(at, kind, seq)` key, the
+/// hash of its canonical record, and its arrival index.
+#[derive(Clone, Copy)]
+struct EventKey {
+    at: i64,
+    seq: u64,
+    hash: u64,
+    index: usize,
+    rank: u8,
+}
+
+impl EventKey {
+    fn order(&self) -> (i64, u8, u64) {
+        (self.at, self.rank, self.seq)
+    }
+}
+
+/// Rebuilds the canonical records of two events into the scratch pair.
+fn canonical_pair<'s>(
+    scratch: &'s mut (String, String),
+    a: &MarketEvent,
+    b: &MarketEvent,
+) -> (&'s str, &'s str) {
+    let (sa, sb) = scratch;
+    sa.clear();
+    sb.clear();
+    a.serialize(sa);
+    b.serialize(sb);
+    (sa, sb)
+}
+
+/// The canonical total order: `(at, kind, seq)`, then the canonical
+/// record bytes. Those are rebuilt only when the keys tie, which a
+/// well-formed stream never does (`seq` is unique).
+fn canonical_cmp(
+    a: &EventKey,
+    b: &EventKey,
+    events: &[MarketEvent],
+    scratch: &mut (String, String),
+) -> Ordering {
+    a.order().cmp(&b.order()).then_with(|| {
+        let (ca, cb) = canonical_pair(scratch, &events[a.index], &events[b.index]);
+        ca.cmp(cb)
+    })
+}
+
+/// Whether two events serialize to the same canonical record: equal
+/// keys and hashes, confirmed on the rebuilt bytes.
+fn same_record(
+    a: &EventKey,
+    ea: &MarketEvent,
+    b: &EventKey,
+    eb: &MarketEvent,
+    scratch: &mut (String, String),
+) -> bool {
+    a.order() == b.order() && a.hash == b.hash && {
+        let (ca, cb) = canonical_pair(scratch, ea, eb);
+        ca == cb
+    }
+}
+
+/// Splits, parses and validates every record after the header,
+/// quarantining under budget. Returns the accepted events in arrival
+/// order and the last trailer.
+fn parse_stream(
+    text: &str,
+    entities: &Dataset,
+    budget: ErrorBudget,
+    report: &mut TableReport,
+    qlog: &mut Vec<QuarantinedRow>,
+) -> Result<(Vec<MarketEvent>, Option<Trailer>), EventStreamError> {
+    let mut records = csv::parse_records_lossy(text);
+    let mut fields = Vec::new();
+    match records.next_into(&mut fields) {
+        Some(Ok(_)) if fields.join(",") == EVENTS_HEADER => {}
+        Some(Ok(_)) => return Err(EventStreamError::MissingHeader { got: fields.join(",") }),
+        Some(Err(e)) => return Err(EventStreamError::MissingHeader { got: e.to_string() }),
+        None => return Err(EventStreamError::MissingHeader { got: String::new() }),
+    }
+    // At most one record per remaining line: reserve once, copy never.
+    let lines = text.bytes().filter(|&b| b == b'\n').count() + 1;
+    let mut events = Vec::with_capacity(lines);
+    let mut trailer = None;
+    while let Some(rec) = records.next_into(&mut fields) {
+        let line = match rec {
+            Ok(line) => line,
+            Err(e) => {
+                let message = e.to_string();
+                quarantine(report, qlog, budget, line_of(&e), FaultClass::Malformed, message)?;
+                continue;
+            }
+        };
+        match parse_event(&fields, line, entities) {
+            Ok(Parsed::Event(ev)) => events.push(ev),
+            Ok(Parsed::Trailer(t)) => trailer = Some(t),
+            Err((fault, message)) => quarantine(report, qlog, budget, line, fault, message)?,
+        }
+    }
+    Ok((events, trailer))
+}
+
+/// Keys every event in arrival order. Each event's canonical record is
+/// serialized exactly once, for its hash; that is the costly part, so it
+/// runs in fixed chunks across the pool, one reused buffer per chunk.
+fn key_events(events: &[MarketEvent], entities: &Dataset) -> Vec<EventKey> {
+    let chunks: Vec<&[MarketEvent]> = events.chunks(CHUNK).collect();
+    let hashes: Vec<Vec<u64>> = chunks
+        .par_iter()
+        .map(|chunk| {
+            let mut record = String::new();
+            chunk
+                .iter()
+                .map(|ev| {
+                    record.clear();
+                    ev.serialize(&mut record);
+                    record_hash(&record)
+                })
+                .collect()
+        })
+        .collect();
+    let mut keys = Vec::with_capacity(events.len());
+    keys.extend(events.iter().zip(hashes.into_iter().flatten()).enumerate().map(
+        |(index, (ev, hash))| EventKey {
+            at: ev.at(entities).as_secs(),
+            seq: ev.seq(),
+            hash,
+            index,
+            rank: ev.kind_rank(),
+        },
+    ));
+    keys
+}
+
+/// Restores canonical order and drops byte-identical replays, filling in
+/// `repaired` and `deduped`; returns the content digest of what remains.
+///
+/// `repaired` counts adjacent arrival-order pairs that were out of
+/// canonical order. Keys that compare equal belong to byte-identical
+/// events, so the unstable sort cannot change the result.
+fn canonicalize(
+    events: &mut Vec<MarketEvent>,
+    keys: &mut [EventKey],
+    report: &mut TableReport,
+) -> u64 {
+    let mut scratch = (String::new(), String::new());
+    report.repaired = keys
+        .windows(2)
+        .filter(|w| canonical_cmp(&w[0], &w[1], events, &mut scratch) == Ordering::Greater)
+        .count() as u64;
+    keys.sort_unstable_by(|a, b| canonical_cmp(a, b, events, &mut scratch));
+
+    // Permute the events into key order in place, one cycle at a time.
+    // The compact index array keeps the cycle walk in cache; only the
+    // event swaps touch the large array.
+    const PLACED: usize = usize::MAX;
+    let mut order: Vec<usize> = keys.iter().map(|k| k.index).collect();
+    for start in 0..order.len() {
+        let mut at = start;
+        loop {
+            let from = std::mem::replace(&mut order[at], PLACED);
+            if from == PLACED || from == start {
+                break;
+            }
+            events.swap(at, from);
+            at = from;
+        }
+    }
+
+    // Dedup byte-identical replays (adjacent after the sort) and fold the
+    // content digest over what remains.
+    let mut digest = 0u64;
+    let mut kept = 0;
+    for i in 0..events.len() {
+        if kept > 0
+            && same_record(&keys[kept - 1], &events[kept - 1], &keys[i], &events[i], &mut scratch)
+        {
+            report.deduped += 1;
+            continue;
+        }
+        digest = digest.wrapping_add(keys[i].hash);
+        keys[kept] = keys[i];
+        events.swap(kept, i);
+        kept += 1;
+    }
+    events.truncate(kept);
+    digest
 }
 
 /// Loads an event stream from `reader`, recovering what the resilience
@@ -359,6 +545,10 @@ struct Trailer {
 /// their timestamp from the batch table. Instance rows referenced by
 /// `Completed` events are validated with the same semantic rules as the
 /// table loader (non-negative duration, trust in `[0, 1]`).
+///
+/// Each record is split into fields borrowed from the input and each
+/// accepted event is serialized exactly once, into a reused buffer, for
+/// its digest hash (DESIGN.md §20).
 pub fn load_events(
     reader: &mut dyn Read,
     entities: &Dataset,
@@ -371,71 +561,17 @@ pub fn load_events(
         read_all_with_retry(reader, EVENTS_TABLE, &opts.backoff, opts.clock.as_ref())
             .map_err(|error| EventStreamError::Failed { error, report: report.clone() })?;
     report.retries = retries;
-    let text = String::from_utf8_lossy(&bytes);
-
-    let mut records = csv::parse_records_lossy(&text);
-    match records.next() {
-        Some(Ok((_, f))) if f.join(",") == EVENTS_HEADER => {}
-        Some(Ok((_, f))) => return Err(EventStreamError::MissingHeader { got: f.join(",") }),
-        Some(Err(e)) => return Err(EventStreamError::MissingHeader { got: e.to_string() }),
-        None => return Err(EventStreamError::MissingHeader { got: String::new() }),
-    }
-
-    // Parse + validate, quarantining under budget. Keyed: (at, rank, seq).
-    let mut keyed: Vec<(i64, u8, u64, MarketEvent)> = Vec::new();
-    let mut trailer: Option<Trailer> = None;
-    for rec in records {
-        let (line, f) = match rec {
-            Ok(r) => r,
-            Err(e) => {
-                quarantine(
-                    &mut report,
-                    &mut qlog,
-                    opts.budget,
-                    line_of(&e),
-                    FaultClass::Malformed,
-                    e.to_string(),
-                )?;
-                continue;
-            }
-        };
-        match parse_event(&f, line, entities) {
-            Ok(Parsed::Event(ev)) => {
-                let at = ev.at(entities).as_secs();
-                keyed.push((at, ev.kind_rank(), ev.seq(), ev));
-            }
-            Ok(Parsed::Trailer(t)) => trailer = Some(t),
-            Err((fault, message)) => {
-                quarantine(&mut report, &mut qlog, opts.budget, line, fault, message)?;
-            }
-        }
-    }
-
-    // Restore canonical order, counting the inversions the sort repairs.
-    // Ties beyond (at, kind, seq) break on the serialized record so equal
-    // keys with different payloads still order deterministically.
-    let key_cmp = |a: &(i64, u8, u64, MarketEvent), b: &(i64, u8, u64, MarketEvent)| {
-        (a.0, a.1, a.2).cmp(&(b.0, b.1, b.2)).then_with(|| a.3.canon().cmp(&b.3.canon()))
-    };
-    report.repaired =
-        keyed.windows(2).filter(|w| key_cmp(&w[0], &w[1]) == Ordering::Greater).count() as u64;
-    keyed.sort_by(key_cmp);
-
-    // Dedup byte-identical replays (adjacent after the sort) and fold the
-    // content digest over what remains.
-    let mut events = Vec::with_capacity(keyed.len());
-    let mut digest = 0u64;
-    let mut last_canon: Option<String> = None;
-    for (_, _, _, ev) in keyed {
-        let canon = ev.canon();
-        if last_canon.as_deref() == Some(canon.as_str()) {
-            report.deduped += 1;
-            continue;
-        }
-        digest = digest.wrapping_add(record_hash(&canon));
-        last_canon = Some(canon);
-        events.push(ev);
-    }
+    let (mut events, trailer) = parse_stream(
+        &String::from_utf8_lossy(&bytes),
+        entities,
+        opts.budget,
+        &mut report,
+        &mut qlog,
+    )?;
+    // The events own their fields: the input can go before the sort.
+    drop(bytes);
+    let mut keys = key_events(&events, entities);
+    let digest = canonicalize(&mut events, &mut keys, &mut report);
     report.accepted = events.len() as u64;
 
     // Trailer verification: with a clean quarantine the recovered stream
@@ -452,7 +588,6 @@ pub fn load_events(
                 actual: digest,
             });
         }
-        let _ = t.line;
         report.verified = Some(matches);
     }
 
@@ -474,7 +609,7 @@ enum Parsed {
 /// stream loader uses, so a WAL record can never smuggle in an event the
 /// ingest path would have rejected.
 pub(crate) fn parse_wire_event(
-    f: &[String],
+    f: &[Field<'_>],
     line: usize,
     entities: &Dataset,
 ) -> Result<MarketEvent, String> {
@@ -486,7 +621,7 @@ pub(crate) fn parse_wire_event(
 }
 
 fn parse_event(
-    f: &[String],
+    f: &[Field<'_>],
     line: usize,
     entities: &Dataset,
 ) -> Result<Parsed, (FaultClass, String)> {
@@ -510,7 +645,7 @@ fn parse_event(
             Err((FaultClass::Dangling, format!("batch b{raw} out of range")))
         }
     };
-    match f[0].as_str() {
+    match &*f[0] {
         "P" => {
             arity(3)?;
             let seq = num(&f[1], "seq")?;
@@ -550,7 +685,7 @@ fn parse_event(
             let n = num(&f[1], "trailer count")?;
             let digest = u64::from_str_radix(&f[2], 16)
                 .map_err(|_| (FaultClass::Numeric, format!("bad trailer digest `{}`", f[2])))?;
-            Ok(Parsed::Trailer(Trailer { line, n, digest }))
+            Ok(Parsed::Trailer(Trailer { n, digest }))
         }
         other => Err((FaultClass::Numeric, format!("bad event kind `{other}`"))),
     }
@@ -613,6 +748,12 @@ mod tests {
     use crowd_core::fixture::Fixture;
     use crowd_core::Duration;
 
+    fn canon(ev: &MarketEvent) -> String {
+        let mut s = String::new();
+        ev.serialize(&mut s);
+        s
+    }
+
     fn dataset() -> Dataset {
         let mut fx = Fixture::new();
         let w0 = fx.add_worker();
@@ -639,8 +780,8 @@ mod tests {
         assert_eq!(log.n_completed(), ds.instances.len());
         assert_eq!(log.completed_rows().len(), ds.instances.len());
         // Canonical order is a permutation of the producer's events.
-        let mut want: Vec<String> = events.iter().map(MarketEvent::canon).collect();
-        let mut got: Vec<String> = log.events.iter().map(MarketEvent::canon).collect();
+        let mut want: Vec<String> = events.iter().map(canon).collect();
+        let mut got: Vec<String> = log.events.iter().map(canon).collect();
         want.sort();
         got.sort();
         assert_eq!(want, got);

@@ -14,12 +14,13 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
 use crowd_core::answer::Answer;
-use crowd_core::csv::{self, LossyRecords, Manifest, Table, TableDigest, MANIFEST_FILE};
-use crowd_core::dataset::{Dataset, DatasetBuilder, InstanceRef, TaskInstance};
+use crowd_core::csv::{self, Field, LossyRecords, Manifest, Table, TableDigest, MANIFEST_FILE};
+use crowd_core::dataset::{Dataset, DatasetBuilder, TaskInstance};
 use crowd_core::error::{CoreError, FaultClass};
 use crowd_core::provenance::{
     ErrorBudget, IngestReport, QuarantinedRow, TableReport, QUARANTINE_DETAIL_CAP,
@@ -29,9 +30,10 @@ use rayon::prelude::*;
 use crate::retry::{read_all_with_retry, Backoff, Clock, SystemClock};
 use crate::source::{DirSource, TableSource};
 
-/// Fixed chunk size for the parallel instance decode — the same
-/// discipline as `ScanPass::CHUNK`, so results are position-determined
-/// and bit-identical at any thread count.
+/// Fixed chunk size for the parallel passes (instance decode here, event
+/// hashing in [`crate::events`]) — the same discipline as
+/// `ScanPass::CHUNK`, so results are position-determined and
+/// bit-identical at any thread count.
 pub const CHUNK: usize = 8192;
 
 /// Knobs for one resilient load.
@@ -215,15 +217,16 @@ fn load_table(
 }
 
 fn check_header(records: &mut LossyRecords<'_>, table: Table) -> Result<(), CoreError> {
-    match records.next() {
-        Some(Ok((_, f))) if f.join(",") == table.header() => Ok(()),
-        Some(Ok((line, f))) => Err(CoreError::Csv {
+    let mut fields = Vec::new();
+    match records.next_into(&mut fields) {
+        Some(Ok(_)) if fields.join(",") == table.header() => Ok(()),
+        Some(Ok(line)) => Err(CoreError::Csv {
             line,
             message: format!(
                 "{}: expected header `{}`, got `{}`",
                 table.file_name(),
                 table.header(),
-                f.join(",")
+                fields.join(",")
             ),
         }),
         Some(Err(e)) => Err(e),
@@ -266,7 +269,7 @@ fn quarantine(
 }
 
 fn load_entities(
-    records: LossyRecords<'_>,
+    mut records: LossyRecords<'_>,
     table: Table,
     b: &mut DatasetBuilder,
     counts: &mut EntityCounts,
@@ -276,9 +279,10 @@ fn load_entities(
 ) -> Result<u64, CoreError> {
     let mut digest = TableDigest::new(table);
     let mut rec = String::new();
-    for item in records {
-        let (line, fields) = match item {
-            Ok(x) => x,
+    let mut fields = Vec::new();
+    while let Some(item) = records.next_into(&mut fields) {
+        let line = match item {
+            Ok(line) => line,
             Err(e) => {
                 quarantine(
                     tr,
@@ -398,12 +402,15 @@ fn load_entities(
     Ok(digest.finish())
 }
 
-type RawRecord = crowd_core::Result<(usize, Vec<String>)>;
+/// One framed instance record: its line and its span in the flat field
+/// array, or the framing error.
+type RawRecord = crowd_core::Result<(usize, Range<usize>)>;
 type ParsedRow = Result<(usize, TaskInstance), (usize, FaultClass, String)>;
 
-fn parse_one(item: &crowd_core::Result<(usize, Vec<String>)>) -> ParsedRow {
+fn parse_one(item: &RawRecord, all_fields: &[Field<'_>]) -> ParsedRow {
     match item {
-        Ok((line, fields)) => {
+        Ok((line, span)) => {
+            let fields = &all_fields[span.clone()];
             if fields.len() == 1 && fields[0].is_empty() {
                 return Err((*line, FaultClass::Malformed, "blank record".into()));
             }
@@ -474,8 +481,8 @@ fn canonical_cmp(a: &TaskInstance, b: &TaskInstance) -> Ordering {
     ka.cmp(&kb).then_with(|| answer_key(&a.answer).cmp(&answer_key(&b.answer)))
 }
 
-fn load_instances(
-    records: LossyRecords<'_>,
+fn load_instances<'a>(
+    mut records: LossyRecords<'a>,
     b: &mut DatasetBuilder,
     counts: &EntityCounts,
     budget: ErrorBudget,
@@ -486,10 +493,21 @@ fn load_instances(
     // Record framing is inherently serial (quoting); field decode is not.
     // Fixed-size chunks + order-preserving parallel map keep the result
     // position-determined, hence identical at 1 and N threads.
-    let recs: Vec<RawRecord> = records.collect();
+    let mut fields = Vec::new();
+    let mut all_fields: Vec<Field<'a>> = Vec::new();
+    let mut recs: Vec<RawRecord> = Vec::new();
+    while let Some(item) = records.next_into(&mut fields) {
+        recs.push(item.map(|line| {
+            let start = all_fields.len();
+            all_fields.append(&mut fields);
+            (line, start..all_fields.len())
+        }));
+    }
     let chunks: Vec<&[RawRecord]> = recs.chunks(CHUNK).collect();
-    let parsed: Vec<Vec<ParsedRow>> =
-        chunks.par_iter().map(|chunk| chunk.iter().map(parse_one).collect()).collect();
+    let parsed: Vec<Vec<ParsedRow>> = chunks
+        .par_iter()
+        .map(|chunk| chunk.iter().map(|item| parse_one(item, &all_fields)).collect())
+        .collect();
 
     let mut accepted: Vec<TaskInstance> = Vec::with_capacity(recs.len());
     for row in parsed.into_iter().flatten() {
@@ -503,8 +521,8 @@ fn load_instances(
     }
 
     // Restore canonical order (tolerating reordered arrivals), then drop
-    // byte-identical replays. `repaired` counts the arrival-order
-    // inversions the sort undid.
+    // byte-identical replays. `repaired` counts the adjacent arrival-order
+    // pairs that were out of canonical order.
     tr.repaired =
         accepted.windows(2).filter(|w| canonical_cmp(&w[1], &w[0]) == Ordering::Less).count()
             as u64;
@@ -518,18 +536,7 @@ fn load_instances(
     b.reserve_instances(accepted.len());
     for inst in accepted {
         rec.clear();
-        csv::instance_record(
-            InstanceRef {
-                batch: inst.batch,
-                item: inst.item,
-                worker: inst.worker,
-                start: inst.start,
-                end: inst.end,
-                trust: inst.trust,
-                answer: &inst.answer,
-            },
-            &mut rec,
-        );
+        csv::instance_record((&inst).into(), &mut rec);
         digest.update(&rec);
         tr.accepted += 1;
         b.add_instance(inst);

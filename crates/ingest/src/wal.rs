@@ -50,7 +50,7 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-use crowd_core::csv::parse_records_lossy;
+use crowd_core::csv::parse_records;
 use crowd_core::dataset::Dataset;
 
 use crate::events::{parse_wire_event, MarketEvent};
@@ -339,21 +339,42 @@ impl WalWriter {
     /// batching) when this returns — callers apply the batch to live
     /// state only afterwards. Empty batches are a no-op: heartbeat
     /// publishes carry no state worth logging.
+    ///
+    /// A batch whose payload exceeds the record bound is refused with an
+    /// [`io::ErrorKind::InvalidInput`] error before any byte is written or
+    /// the segment rotates, so the log is exactly as it was.
     pub fn append(&mut self, events: &[MarketEvent]) -> Result<(), WalError> {
         if events.is_empty() {
             return Ok(());
-        }
-        if self.active.as_ref().is_none_or(|a| a.bytes >= self.opts.segment_bytes) {
-            self.rotate()?;
         }
         let mut payload = String::with_capacity(64 * events.len());
         for ev in events {
             ev.serialize(&mut payload);
         }
         let payload = payload.as_bytes();
-        let len = u32::try_from(payload.len()).expect("batch payload exceeds u32");
-        assert!(len <= MAX_RECORD_LEN, "batch payload exceeds the WAL record bound");
-        let n_events = u32::try_from(events.len()).expect("batch exceeds u32 events");
+        let refuse = |what: String| WalError {
+            path: self.dir.clone(),
+            error: io::Error::new(io::ErrorKind::InvalidInput, what),
+        };
+        let len = u32::try_from(payload.len())
+            .ok()
+            .filter(|&len| len <= MAX_RECORD_LEN)
+            .ok_or_else(|| {
+                refuse(format!(
+                    "batch payload of {} bytes exceeds the WAL record bound of {MAX_RECORD_LEN} bytes",
+                    payload.len()
+                ))
+            })?;
+        let n_events = u32::try_from(events.len()).map_err(|_| {
+            refuse(format!(
+                "batch of {} events exceeds the WAL record bound of {} events",
+                events.len(),
+                u32::MAX
+            ))
+        })?;
+        if self.active.as_ref().is_none_or(|a| a.bytes >= self.opts.segment_bytes) {
+            self.rotate()?;
+        }
         let seq_base = self.next_seq;
         let sum = record_checksum(len, n_events, seq_base, payload);
         let mut header = [0u8; REC_HEADER_LEN as usize];
@@ -371,7 +392,7 @@ impl WalWriter {
         active.bytes += REC_HEADER_LEN + u64::from(len);
         self.stats.appends += 1;
         self.stats.bytes_written += REC_HEADER_LEN + u64::from(len);
-        self.next_seq += events.len() as u64;
+        self.next_seq += u64::from(n_events);
         self.unsynced += 1;
         if self.unsynced >= self.opts.fsync_every {
             self.sync()?;
@@ -666,9 +687,11 @@ fn decode_payload(
 ) -> Result<Vec<MarketEvent>, String> {
     let text = std::str::from_utf8(payload).map_err(|e| format!("payload not UTF-8: {e}"))?;
     let mut events = Vec::with_capacity(n_events as usize);
-    for rec in parse_records_lossy(text) {
-        let (line, f) = rec.map_err(|e| e.to_string())?;
-        events.push(parse_wire_event(&f, line, entities)?);
+    let mut records = parse_records(text);
+    let mut fields = Vec::new();
+    while let Some(rec) = records.next_into(&mut fields) {
+        let line = rec.map_err(|e| e.to_string())?;
+        events.push(parse_wire_event(&fields, line, entities)?);
     }
     if events.len() != n_events as usize {
         return Err(format!(
@@ -683,6 +706,7 @@ fn decode_payload(
 mod tests {
     use super::*;
     use crate::events::events_from_dataset;
+    use crowd_core::dataset::TaskInstance;
     use crowd_core::fixture::Fixture;
     use crowd_core::Duration;
 
@@ -892,6 +916,68 @@ mod tests {
         w.append(&[]).unwrap();
         assert_eq!(w.stats().appends, 0, "empty batches are not logged");
         assert!(segment_files(&dir, 0xabc).unwrap().is_empty(), "no segment until a real append");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn oversized_batch_is_refused_before_any_byte_is_written() {
+        use crowd_core::answer::Answer;
+
+        let ds = dataset();
+        let events = events_from_dataset(&ds);
+        let dir = tmp("oversize");
+        // 256-byte segments: two appends fill the active segment, so the
+        // next append rotates first.
+        let mut w = write_log(&dir, &events[..8], 4, small());
+        let stats = w.stats();
+        let files = |dir: &Path| -> Vec<(PathBuf, Vec<u8>)> {
+            segment_files(dir, 0xabc)
+                .unwrap()
+                .into_iter()
+                .map(|(_, p)| {
+                    let bytes = fs::read(&p).unwrap();
+                    (p, bytes)
+                })
+                .collect()
+        };
+        let before = files(&dir);
+
+        // ~70 completed events with 1 MiB answers: past the 64 MiB bound.
+        let MarketEvent::Completed { row, .. } =
+            events.iter().find(|e| matches!(e, MarketEvent::Completed { .. })).unwrap().clone()
+        else {
+            unreachable!()
+        };
+        let big = "x".repeat(1 << 20);
+        let huge: Vec<MarketEvent> = (0..70)
+            .map(|i| MarketEvent::Completed {
+                seq: 1000 + i,
+                row: TaskInstance { answer: Answer::Text(big.clone()), ..row.clone() },
+            })
+            .collect();
+        let err = w.append(&huge).expect_err("oversized batch must be refused");
+        assert_eq!(err.error.kind(), io::ErrorKind::InvalidInput);
+        let message = err.to_string();
+        assert!(message.contains(&MAX_RECORD_LEN.to_string()), "names the bound: {message}");
+        let size: usize = canon_all(&huge).iter().map(String::len).sum();
+        assert!(message.contains(&format!("{size} bytes")), "names the payload size: {message}");
+        assert_eq!(w.stats(), stats, "nothing written, synced or rotated");
+        assert_eq!(w.next_seq(), 8);
+        assert_eq!(files(&dir), before, "segments untouched");
+
+        let replayed = replay(&dir, 0xabc, 0, &ds).unwrap();
+        assert!(replayed.fault.is_none());
+        assert_eq!(canon_all(&replayed.events), canon_all(&events[..8]));
+
+        // The writer is still usable: the next normal batch performs the
+        // rotation the refused one never reached, appends, and replays
+        // after the state before the refused batch.
+        w.append(&events[8..12]).unwrap();
+        w.sync().unwrap();
+        assert_eq!(w.stats().rotations, stats.rotations + 1);
+        let replayed = replay(&dir, 0xabc, 0, &ds).unwrap();
+        assert!(replayed.fault.is_none(), "{:?}", replayed.fault);
+        assert_eq!(canon_all(&replayed.events), canon_all(&events[..12]));
         fs::remove_dir_all(&dir).ok();
     }
 

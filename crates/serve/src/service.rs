@@ -675,6 +675,60 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_the_wal_refuses_is_not_admitted() {
+        use crowd_core::answer::Answer;
+
+        let dir = temp_dir("wal-oversize");
+        let feed = EventFeed::from_config(&SimConfig::tiny(64));
+        let mut svc = LiveService::new(Arc::clone(&feed.entities))
+            .with_wal(dir.join("wal"), 64, crowd_ingest::WalOptions::default())
+            .unwrap();
+        let log = crowd_ingest::load_events_str(&feed.to_csv(), &feed.entities).unwrap();
+        let (head, tail) = log.events.split_at(500);
+        svc.apply_events(head).unwrap();
+        let (gauges, applied, version) = (svc.gauges(), svc.events_applied(), svc.version);
+
+        let row = log
+            .events
+            .iter()
+            .find_map(|e| match e {
+                MarketEvent::Completed { row, .. } => Some(row.clone()),
+                _ => None,
+            })
+            .unwrap();
+        let big = "x".repeat(1 << 20);
+        let huge: Vec<MarketEvent> = (0..70)
+            .map(|i| MarketEvent::Completed {
+                seq: u64::MAX - i,
+                row: crowd_core::dataset::TaskInstance {
+                    answer: Answer::Text(big.clone()),
+                    ..row.clone()
+                },
+            })
+            .collect();
+        let err = svc.apply_events(&huge).expect_err("past the WAL record bound");
+        assert!(
+            matches!(&err, ServeError::Wal(e) if e.error.kind() == std::io::ErrorKind::InvalidInput)
+        );
+        assert_eq!((svc.gauges(), svc.events_applied(), svc.version), (gauges, applied, version));
+
+        svc.apply_events(&tail[..500]).unwrap();
+        let live = svc.handle().snapshot();
+        drop(svc);
+        let (restored, report) = LiveService::restore_durable(
+            CheckpointStore::new(dir.join("ckpt"), 64),
+            u64::MAX,
+            Arc::clone(&feed.entities),
+            dir.join("wal"),
+            crowd_ingest::WalOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(report.wal_events_replayed, 1000);
+        assert_eq!(restored.handle().snapshot().view.fused, live.view.fused);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn torn_wal_tail_is_truncated_and_the_gap_is_replayable() {
         let dir = temp_dir("wal-torn");
         let feed = EventFeed::from_config(&SimConfig::tiny(62));

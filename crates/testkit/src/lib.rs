@@ -20,6 +20,11 @@
 //!   MinHash implementations, the reference oracles the rewritten
 //!   hot-path kernels in `crowd-cluster` are differentially tested
 //!   against (`tests/kernel_differential.rs`);
+//! * [`wire`] — frozen copies of the original event wire codec (the
+//!   character-at-a-time CSV splitter, the `String`-per-field record
+//!   writers and the re-serializing event loader), the oracles the
+//!   borrowed-field codec is differentially tested against
+//!   (`tests/wire_differential.rs`);
 //! * [`view`] — the live-path differential: a delta-applied
 //!   [`FusedView`](crowd_analytics::FusedView) fed through the
 //!   damaged-in-transit event-stream loader and checked against cold
@@ -43,6 +48,7 @@ pub mod kernels;
 pub mod oracle;
 pub mod paper_invariants;
 pub mod view;
+pub mod wire;
 
 pub use differential::{assert_study_matches_oracle, compare_fused, fused_with_shards};
 pub use kernels::{naive_minhash_params, naive_shingles, naive_signature, naive_tokenize};

@@ -7,14 +7,24 @@
 //! mutation the loader *accepts* must have been content-neutral, because
 //! every accepted table re-verifies against the exporter's row counts
 //! and content digests.
+//!
+//! The event-stream loader gets the same treatment behind its digest
+//! trailer: one record is mutated and the trailer re-stamped as a
+//! producer that emitted the mutated record would have written it, so
+//! the damage reaches the splitter and the event grammar instead of
+//! stopping at the digest. Every outcome must be a typed error or
+//! quarantine, or events that survive a serialize → load round trip
+//! unchanged.
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
-use crowd_core::csv::{export_dir, Table, MANIFEST_FILE};
+use crowd_core::csv::{export_dir, record_hash, Table, MANIFEST_FILE};
+use crowd_core::dataset::Dataset;
 use crowd_core::fixture::Fixture;
 use crowd_core::prelude::*;
-use crowd_ingest::{ingest_dir, IngestOptions, ManualClock};
+use crowd_ingest::events::{event_log_to_csv, load_events, EventOptions, EVENTS_HEADER};
+use crowd_ingest::{events_from_dataset, ingest_dir, load_events_str, IngestOptions, ManualClock};
 use proptest::prelude::*;
 
 /// A small but table-complete dataset: several workers, a quoted
@@ -139,5 +149,87 @@ proptest! {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// An event feed over quoted, multi-line and plain answers: the entity
+/// tables and one serialized record per event.
+fn event_fixture() -> &'static (Dataset, Vec<String>) {
+    static FIX: OnceLock<(Dataset, Vec<String>)> = OnceLock::new();
+    FIX.get_or_init(|| {
+        let mut f = Fixture::new();
+        let ws = f.add_workers(3);
+        let b0 = f.add_batch(Duration::ZERO);
+        let b1 = f.add_batch(Duration::from_days(2));
+        for (i, &b) in [b0, b1].iter().enumerate() {
+            for item in 0..5u32 {
+                f.instance_full(
+                    b,
+                    item,
+                    ws[(item as usize + i) % ws.len()],
+                    900 + 45 * i64::from(item),
+                    40,
+                    0.75,
+                    match item % 3 {
+                        0 => Answer::Choice(item as u16),
+                        1 => Answer::Text(format!("a, \"quoted\"\nanswer {item}")),
+                        _ => Answer::Skipped,
+                    },
+                );
+            }
+        }
+        let ds = f.finish();
+        let records = events_from_dataset(&ds)
+            .iter()
+            .map(|e| {
+                let mut s = String::new();
+                e.serialize(&mut s);
+                s
+            })
+            .collect();
+        (ds, records)
+    })
+}
+
+/// Bytes a record mutation draws from: the CSV-significant ones, digits,
+/// letters of the event grammar, and invalid UTF-8.
+const RECORD_BYTES: &[u8] = b",\"\n\r0179-+.eCPUTSx \xff\xc3";
+
+proptest! {
+    #[test]
+    fn event_mutations_behind_a_restamped_trailer_load_or_refuse(
+        record_idx in 0usize..64,
+        offset in 0usize..1 << 16,
+        pick in 0usize..64,
+    ) {
+        let (ds, records) = event_fixture();
+        let k = record_idx % records.len();
+        let mut mutated = records[k].clone().into_bytes();
+        let at = offset % mutated.len();
+        mutated[at] = RECORD_BYTES[pick % RECORD_BYTES.len()];
+        let mutated = String::from_utf8_lossy(&mutated).into_owned();
+
+        // The trailer a producer that emitted the mutated record writes.
+        let mut wire = format!("{EVENTS_HEADER}\n");
+        let mut digest = 0u64;
+        for (i, r) in records.iter().enumerate() {
+            let r = if i == k { &mutated } else { r };
+            digest = digest.wrapping_add(record_hash(r));
+            wire.push_str(r);
+        }
+        wire.push_str(&format!("T,{},{digest:016x}\n", records.len()));
+
+        // Reaching any assertion at all means no panic and no hang.
+        match load_events(&mut wire.as_bytes(), ds, &EventOptions::default()) {
+            Ok(log) => {
+                let again = event_log_to_csv(&log.events);
+                let back = load_events_str(&again, ds).expect("accepted events must reload");
+                prop_assert_eq!(&back.events, &log.events, "events must survive the round trip");
+                prop_assert_eq!(event_log_to_csv(&back.events), again, "byte for byte");
+                prop_assert_eq!(back.report.verified, Some(true));
+                prop_assert_eq!(back.report.quarantined, 0);
+            }
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
+        }
     }
 }

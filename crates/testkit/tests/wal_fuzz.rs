@@ -7,6 +7,13 @@
 //! a segment is covered by either the header checksum or a record
 //! checksum, so *any* effective mutation must surface as a fault, and
 //! the replayed events must always be an exact prefix of the clean log.
+//!
+//! The checksums also shield the payload decoder from those mutations,
+//! so a third property re-stamps the record checksum after changing the
+//! payload: the damage then reaches the wire splitter and the event
+//! grammar, which must either refuse it as a typed `Decode` fault or
+//! yield events that survive a serialize → WAL → replay round trip
+//! unchanged.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -15,7 +22,9 @@ use crowd_core::dataset::Dataset;
 use crowd_core::fixture::Fixture;
 use crowd_core::prelude::*;
 use crowd_ingest::events_from_dataset;
-use crowd_ingest::wal::{replay, segment_files, truncate_torn, WalFault, WalOptions, WalWriter};
+use crowd_ingest::wal::{
+    replay, segment_files, truncate_torn, WalCorruptKind, WalFault, WalOptions, WalWriter,
+};
 use proptest::prelude::*;
 
 const STREAM: u64 = 0x57a1;
@@ -88,7 +97,11 @@ fn fixture() -> &'static (Dataset, Vec<String>, SegmentFiles) {
 /// Writes the pristine segments into a fresh case directory, applying
 /// `mutate` to the chosen file's bytes. Returns the directory and
 /// whether the bytes actually changed.
-fn write_case(tag: &str, target: usize, mutate: impl Fn(&mut Vec<u8>) -> bool) -> (PathBuf, bool) {
+fn write_case(
+    tag: &str,
+    target: usize,
+    mut mutate: impl FnMut(&mut Vec<u8>) -> bool,
+) -> (PathBuf, bool) {
     let (_, _, files) = fixture();
     let dir = std::env::temp_dir().join(format!("crowd_wal_fuzz_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -105,7 +118,107 @@ fn write_case(tag: &str, target: usize, mutate: impl Fn(&mut Vec<u8>) -> bool) -
     (dir, changed)
 }
 
+/// Segment header and record header sizes of the documented format.
+const SEG_HEADER: usize = 32;
+const REC_HEADER: usize = 24;
+
+/// The documented record checksum: FNV-1a over the little-endian
+/// `len | n_events | seq_base` fields, continued over the payload.
+fn record_checksum(header: &[u8], payload: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in header[..16].iter().chain(payload) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// `(record offset, payload length)` of every record in a segment.
+fn record_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut off = SEG_HEADER;
+    while off + REC_HEADER <= bytes.len() {
+        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+        spans.push((off, len));
+        off += REC_HEADER + len;
+    }
+    spans
+}
+
+/// Bytes a payload mutation draws from: the CSV-significant ones, digits,
+/// letters of the event grammar, and invalid UTF-8.
+const PAYLOAD_BYTES: &[u8] = b",\"\n\r0179-+.eCPUTSx \xff\xc3";
+
 proptest! {
+    #[test]
+    fn payload_mutations_behind_a_restamped_checksum_decode_or_refuse(
+        file_idx in 0usize..8,
+        record_idx in 0usize..64,
+        offset in 0usize..1 << 16,
+        pick in 0usize..64,
+        second in 0usize..4,
+    ) {
+        let (ds, clean, files) = fixture();
+        let target = file_idx % files.len();
+        // Events held by the segments before the target one, and by the
+        // records before the mutated one: those must replay untouched.
+        let mut before = 0usize;
+        let (dir, changed) = write_case("restamp", target, |bytes| {
+            let spans = record_spans(bytes);
+            let (off, len) = spans[record_idx % spans.len()];
+            for &(o, _) in spans.iter().take_while(|&&(o, _)| o < off) {
+                before += u32::from_le_bytes(bytes[o + 4..o + 8].try_into().unwrap()) as usize;
+            }
+            let payload = off + REC_HEADER;
+            let old = bytes[payload..payload + len].to_vec();
+            for k in 0..=second.min(1) {
+                let at = payload + (offset + 7 * k) % len;
+                bytes[at] = PAYLOAD_BYTES[(pick + k) % PAYLOAD_BYTES.len()];
+            }
+            let sum = record_checksum(&bytes[off..off + 16], &bytes[payload..payload + len]);
+            bytes[off + 16..off + 24].copy_from_slice(&sum.to_le_bytes());
+            bytes[payload..payload + len] != old[..]
+        });
+        for (_, seg) in &files[..target] {
+            before += record_spans(seg)
+                .iter()
+                .map(|&(o, _)| u32::from_le_bytes(seg[o + 4..o + 8].try_into().unwrap()) as usize)
+                .sum::<usize>();
+        }
+
+        // Reaching any assertion at all means no panic and no hang.
+        let got = replay(&dir, STREAM, 0, ds).expect("replay IO must succeed");
+        let lines = canon(&got.events);
+        prop_assert!(lines.len() >= before, "records before the damage must replay");
+        prop_assert_eq!(&lines[..before], &clean[..before], "untouched prefix");
+        match &got.fault {
+            // The checksum was re-stamped, so the only thing left to fail
+            // is decoding the payload.
+            Some(fault) => prop_assert!(
+                matches!(fault, WalFault::Corrupt { kind: WalCorruptKind::Decode, .. }),
+                "a re-stamped record can only fail to decode, got {}", fault
+            ),
+            None if !changed => prop_assert_eq!(&lines, clean),
+            None => {}
+        }
+
+        // Whatever decoded survives serialize → WAL → replay unchanged.
+        let again = std::env::temp_dir()
+            .join(format!("crowd_wal_fuzz_roundtrip_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&again);
+        let mut w = WalWriter::open(&again, STREAM, WalOptions::default(), 0).expect("open");
+        for chunk in got.events.chunks(4) {
+            w.append(chunk).expect("decoded events must serialize within the bound");
+        }
+        w.sync().expect("sync");
+        let back = replay(&again, STREAM, 0, ds).expect("replay round trip");
+        prop_assert!(back.fault.is_none(), "round trip must replay clean: {:?}", back.fault);
+        prop_assert_eq!(&back.events, &got.events, "events must survive the round trip");
+        prop_assert_eq!(canon(&back.events), lines, "byte for byte");
+        let _ = std::fs::remove_dir_all(&again);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn single_byte_mutations_recover_a_prefix_or_a_typed_fault(
         file_idx in 0usize..8,

@@ -7,7 +7,9 @@
 //! streaming build (simulator shard flushing + streaming enricher) must
 //! stay within a per-row allocation budget so a regression that
 //! reintroduces per-row buffers fails loudly here rather than silently
-//! costing throughput.
+//! costing throughput. The event wire codec is pinned the same way: the
+//! stream decoder within half an allocation per event, and event
+//! serialization into a reserved buffer allocation-free.
 //!
 //! Everything runs inside **one** `#[test]` — the counter is global, and
 //! the harness runs separate tests concurrently.
@@ -55,6 +57,15 @@ const NOISE: u64 = 10;
 /// 54,051 rows, almost all of them per-worker vectors doubling); the
 /// per-chunk B-tree layout this replaced needed 0.32 (17,194).
 const FUSED_ALLOCS_PER_ROW_DEN: u64 = 5;
+
+/// The event decoder's budget: at most one allocation per this many
+/// events. Measured on the `SimConfig::tiny(2017)` feed (55,854 events):
+/// 14,851 allocations (0.27 per event), of which ~0.26 are the owned
+/// `Text` answers. The character-at-a-time splitter and re-serializing
+/// loader this replaced needed 1,083,159 (19.4 per event). Serializing
+/// an 8192-event batch into a reserved buffer measured 0 allocations;
+/// the `format!`-built writers needed 32,321 (3.9 per event).
+const DECODE_ALLOCS_PER_EVENT_DEN: u64 = 2;
 
 #[test]
 fn steady_state_allocation_budgets_hold() {
@@ -123,6 +134,50 @@ fn steady_state_allocation_budgets_hold() {
         build_allocs <= 3 * rows,
         "streaming build allocated {build_allocs} times for {rows} rows \
          (> 3/row budget)"
+    );
+
+    // ---- event wire codec: borrowed fields, one serialization per event
+    // Decoding the tiny(2017) feed splits every record into fields
+    // borrowed from the input and serializes each event once into a
+    // reused buffer, so what remains is the owned `Text` answers (~0.26
+    // per event) plus geometric growth of the event and key vectors.
+    use crowd_ingest::{load_events, EventOptions};
+    let feed = crowd_serve::EventFeed::from_config(&SimConfig::tiny(2017));
+    let wire = feed.to_csv();
+    let opts = EventOptions::default();
+    let mut decoded = None;
+    let decode_allocs = allocs_during(|| {
+        decoded =
+            Some(load_events(&mut wire.as_bytes(), &feed.entities, &opts).expect("clean feed"));
+    });
+    let log = decoded.expect("decoded above");
+    let events = log.events.len() as u64;
+    eprintln!("load_events: {decode_allocs} allocations for {events} events");
+    assert!(
+        decode_allocs * DECODE_ALLOCS_PER_EVENT_DEN <= events,
+        "load_events allocated {decode_allocs} times for {events} events \
+         (> 1/{DECODE_ALLOCS_PER_EVENT_DEN} per event budget)"
+    );
+
+    // Serializing a WAL-sized batch into a reserved buffer writes every
+    // field in place: no per-field or per-event allocation.
+    let batch = &log.events[..crowd_core::ScanPass::CHUNK];
+    let mut out = String::new();
+    for ev in batch {
+        ev.serialize(&mut out);
+    }
+    let mut reserved = String::with_capacity(out.len());
+    let serialize_allocs = allocs_during(|| {
+        for ev in batch {
+            ev.serialize(&mut reserved);
+        }
+    });
+    assert_eq!(reserved, out);
+    eprintln!("serialize: {serialize_allocs} allocations for {} events", batch.len());
+    assert!(
+        serialize_allocs <= NOISE,
+        "serializing {} events into a reserved buffer allocated {serialize_allocs} times",
+        batch.len()
     );
 
     // ---- fused scan: no per-chunk tree churn ---------------------------
